@@ -130,26 +130,30 @@ class TestRuns:
         """ADVICE r2 (high): a crash AFTER the new snapshot materializes but
         BEFORE the patch manifest commits must leave the SNAPSHOT pointer at
         the prior state, so the retry re-diffs old-vs-new and publishes the
-        full delta (not an empty new-vs-new changelog)."""
+        full delta (not an empty new-vs-new changelog). The crash fires at
+        the patch-manifest commit of the bucket pass, i.e. after the new
+        snapshot's shards, its manifest and the patch files are written."""
         snap = str(tmp_path / "sink")
         snaps = str(tmp_path / "snapshots")
         runs.run_dump(SF_SMALL, snap, epoch="E1", cfg=CFG, snapshot_root=snaps)
 
         calls = {"n": 0}
-        real = runs.write_rdfpatch
+        real = runs.commit_patch_run
 
-        def crashing_write(*a, **k):
+        def crashing_commit(*a, **k):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("simulated crash before patch commit")
             return real(*a, **k)
 
-        monkeypatch.setattr(runs, "write_rdfpatch", crashing_write)
+        monkeypatch.setattr(runs, "commit_patch_run", crashing_commit)
         with pytest.raises(RuntimeError, match="simulated crash"):
             runs.run_sync(
                 SF_SMALL, snap, checkpoint="20240101010101", cfg=CFG,
                 snapshot_root=snaps,
             )
+        # the new snapshot was written before the crash, but stays pending
+        assert load_manifest(os.path.join(snaps, "at-20240101010101")).quad_count > 0
         # pointer must still name the OLD snapshot; cursor unmoved
         with open(os.path.join(snaps, "SNAPSHOT")) as f:
             assert f.read().strip() == "at-" + TS14_ZERO
@@ -414,3 +418,222 @@ class TestRealPagesRuns:
         )
         assert m2.quad_count == 0
         assert ckpt.read_cursor(sink) == "20250101000001"
+
+
+def _except_changelog(prev, new):
+    """The changelog a sync must publish: DuckDB EXCEPT in both directions."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("prev_q", prev)
+    con.register("new_q", new)
+    return con.sql(
+        "SELECT '+' AS op, * FROM (SELECT s, p, o, g FROM new_q EXCEPT SELECT s, p, o, g FROM prev_q) "
+        "UNION ALL "
+        "SELECT '-' AS op, * FROM (SELECT s, p, o, g FROM prev_q EXCEPT SELECT s, p, o, g FROM new_q)"
+    ).arrow()
+
+
+def _records(t, checkpoint=None):
+    """Sorted (op, s, p, o, g) rows of a changelog table, optionally only
+    the rows published under ``checkpoint``."""
+    import pyarrow.compute as pc
+
+    if checkpoint is not None:
+        t = t.filter(pc.equal(t["checkpoint"], checkpoint))
+    return sorted(zip(*[t[c].to_pylist() for c in ("op", "s", "p", "o", "g")]))
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestBucketAlignedSync:
+    """The snapshot-backed sync diffs bucket K of the new state against
+    bucket K of the stored snapshot, so both sides must be keyed by the
+    same hash and bucket count, and a bucket that empties must still emit
+    its '-' records. The published changelog must equal the EXCEPT."""
+
+    CKPT = "20240101010101"
+
+    def _quads(self, version):
+        from tests.conftest import to_arrow
+        from virtuoso_quad_log_ray.pipelines.changelog import quads_version
+
+        return to_arrow(quads_version(SF_SMALL, version, CFG)).select(["s", "p", "o", "g"])
+
+    def _sync_and_check(self, sink, snaps, prev, new):
+        import ray.data
+
+        from tests.conftest import to_arrow
+        from virtuoso_quad_log_ray.pipelines.changelog import apply_changelog
+        from virtuoso_quad_log_ray.sources.rdfpatch_files import read_rdfpatch
+
+        m = runs.run_sync_quads(
+            ray.data.from_arrow(new), sink, checkpoint=self.CKPT, snapshot_root=snaps, cfg=CFG
+        )
+        want = _except_changelog(prev, new)
+        got = to_arrow(read_rdfpatch(sink))
+        assert _records(got, self.CKPT) == _records(want)
+        assert m.quad_count == len(want) > 0
+        replayed = apply_changelog(prev, want)
+        assert sorted(zip(*replayed.to_pydict().values())) == sorted(zip(*new.to_pydict().values()))
+        with open(os.path.join(snaps, "SNAPSHOT")) as f:
+            assert f.read().strip() == "at-" + self.CKPT
+        return m
+
+    def test_emptied_bucket_emits_its_deletes(self, tmp_path):
+        import pyarrow.compute as pc
+        import ray.data
+
+        from virtuoso_quad_log_ray.pipelines.materialize import _bucket_of
+
+        sink, snaps = str(tmp_path / "sink"), str(tmp_path / "snaps")
+        prev, new = self._quads(1), self._quads(2)
+        runs.run_dump_quads(ray.data.from_arrow(prev), sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+        snap = load_manifest(os.path.join(snaps, "at-" + TS14_ZERO))
+        # drop every new quad of one bucket that held prior quads
+        emptied = int(_bucket_of(prev["g"], snap.n_buckets)[0].as_py())
+        new = new.filter(pc.not_equal(_bucket_of(new["g"], snap.n_buckets), emptied))
+        self._sync_and_check(sink, snaps, prev, new)
+        shards = {e.name for e in load_manifest(os.path.join(snaps, "at-" + self.CKPT)).files}
+        assert f"bucket={emptied:05d}/part.parquet" not in shards
+
+    def test_one_shuffle_per_run_no_join_no_snapshot_read(self, tmp_path, monkeypatch):
+        """A snapshot-backed dump or sync is ONE groupby shuffle: no Ray
+        join, and the stored snapshot is never read through Ray."""
+        import ray.data
+
+        sink, snaps = str(tmp_path / "sink"), str(tmp_path / "snaps")
+        prev, new = self._quads(1), self._quads(2)
+        shuffles = []
+        real_groupby = ray.data.Dataset.groupby
+
+        def counting_groupby(ds, *a, **k):
+            shuffles.append(a)
+            return real_groupby(ds, *a, **k)
+
+        def forbidden(*a, **k):
+            raise AssertionError("snapshot-backed run used a Ray join or read")
+
+        monkeypatch.setattr(ray.data.Dataset, "groupby", counting_groupby)
+        monkeypatch.setattr(ray.data.Dataset, "join", forbidden)
+        monkeypatch.setattr(ray.data, "read_parquet", forbidden)
+        runs.run_dump_quads(ray.data.from_arrow(prev), sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+        assert len(shuffles) == 1
+        self._sync_and_check(sink, snaps, prev, new)
+        assert len(shuffles) == 2
+
+    @pytest.mark.parametrize("foreign_hash", [True, False], ids=["hash_fp", "n_buckets_0"])
+    def test_misaligned_prior_snapshot_is_rekeyed(self, tmp_path, foreign_hash):
+        """A prior snapshot keyed by another hash implementation (or with a
+        pre-field manifest, n_buckets 0) is re-keyed once before the pass;
+        diffing it as stored would emit spurious -/+ pairs."""
+        import shutil
+
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+        import ray.data
+
+        from virtuoso_quad_log_ray.numerics import hash_fingerprint
+        from virtuoso_quad_log_ray.sources.pages import pa_mod
+        from virtuoso_quad_log_ray.state.manifest import FileEntry, RunManifest, commit_manifest
+
+        sink, snaps = str(tmp_path / "sink"), str(tmp_path / "snaps")
+        prev, new = self._quads(1), self._quads(2)
+        runs.run_dump_quads(ray.data.from_arrow(prev), sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+        # rewrite the stored snapshot as another hash would have keyed it
+        snap_dir = os.path.join(snaps, "at-" + TS14_ZERO)
+        n = load_manifest(snap_dir).n_buckets
+        shutil.rmtree(snap_dir)
+        foreign = pc.cast(pc.utf8_length(prev["g"]), pa.int64())
+        files = []
+        for k in range(n):
+            part = prev.filter(pc.equal(pa_mod(foreign, n), k))
+            if len(part):
+                rel = f"bucket={k:05d}/part.parquet"
+                os.makedirs(os.path.dirname(os.path.join(snap_dir, rel)), exist_ok=True)
+                pq.write_table(part, os.path.join(snap_dir, rel))
+                files.append(FileEntry(rel, "", len(part), "", 0))
+        commit_manifest(
+            snap_dir,
+            RunManifest(
+                epoch="E1", checkpoint="", kind="materialize",
+                quad_count=len(prev), file_count=len(files), files=files,
+                hash_fp="other-hash:0" if foreign_hash else hash_fingerprint(),
+                n_buckets=n if foreign_hash else 0,
+            ),
+        )
+        self._sync_and_check(sink, snaps, prev, new)
+        new_snap = load_manifest(os.path.join(snaps, "at-" + self.CKPT))
+        assert new_snap.hash_fp == hash_fingerprint() and new_snap.n_buckets > 0
+        assert new_snap.quad_count == len(new)
+
+
+ONE_CPU_SCRIPT = """
+import os, sys
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray, ray.data
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR",
+         log_to_driver=False)
+ray.data.DataContext.get_current().enable_progress_bars = False
+from tests.conftest import SF_SMALL, to_arrow
+from virtuoso_quad_log_ray.pipelines import runs
+from virtuoso_quad_log_ray.sources.pages import read_pages
+
+work = sys.argv[1]
+pages = to_arrow(read_pages(SF_SMALL, include_html=True))
+path = os.path.join(work, "pages.parquet")
+pq.write_table(pages, path)
+sink, snaps = os.path.join(work, "sink"), os.path.join(work, "snaps")
+runs.run_dump_pages(path, sink, epoch="E1", snapshot_root=snaps)
+pq.write_table(pages.filter(pc.not_equal(pages["url"], pages["url"][0])), path)
+m1 = runs.run_sync_pages(path, sink, checkpoint="20250101000000", snapshot_root=snaps)
+m2 = runs.run_sync_pages(path, sink, checkpoint="20250101000001", snapshot_root=snaps)
+print("RESULT", m1.quad_count, m2.quad_count, flush=True)
+ray.shutdown()
+"""
+
+
+def _kill_sid(sid: int) -> None:
+    import signal
+
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            if os.getsid(int(pid)) == sid:
+                os.kill(int(pid), signal.SIGKILL)
+        except OSError:
+            continue
+
+
+def test_snapshot_runs_finish_at_one_cpu(tmp_path):
+    """A snapshot-backed dump + two syncs must finish on a 1-CPU Ray
+    cluster. A shuffle join there needs two 0.5-CPU aggregator actors that
+    hold the only CPU, so the join-based sync hung forever; the bucket
+    pass starts no aggregators. Runs in a fresh process (its own Ray
+    cluster) under a timeout that kills every process the child started."""
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo)
+    child = subprocess.Popen(
+        [sys.executable, "-c", ONE_CPU_SCRIPT, str(tmp_path)],
+        cwd=repo,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, _ = child.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        _kill_sid(child.pid)
+        child.communicate()
+        pytest.fail("snapshot-backed runs hung at num_cpus=1")
+    finally:
+        _kill_sid(child.pid)  # Ray processes the child left behind
+    assert child.returncode == 0, out
+    result = [line.split() for line in out.splitlines() if line.startswith("RESULT")]
+    assert result and int(result[0][1]) > 0 and int(result[0][2]) == 0, out

@@ -1,4 +1,4 @@
-"""Quad changelog: rdfpatch +/- records via hash anti-join of snapshots.
+"""Quad changelog: rdfpatch +/- records via anti-join of snapshots.
 
 The reference gets its changelog for free from Virtuoso's transaction log
 (opcode decode -> '+'/'-', quad-logger/sql-proc/parse_trx_logs.sql:88-101).
@@ -8,12 +8,24 @@ prior checkpoint and the quad set now,
     added   = new  LEFT-ANTI prev   -> op '+'
     deleted = prev LEFT-ANTI new    -> op '-'
 
-both hash-partitioned on the multi-column quad key (s,p,o,g) — Ray Data's native
-``Dataset.join(join_type='left_anti')`` hash-shuffle join. Ordering within a
-partition is (warc-ts-free) deterministic: ('-' before '+', then s, p, o, g),
-mirroring retract-then-assert RDF-patch application semantics
-(MOTIVATION.md:40-71) and the reference's ascending trx-log order
-(parse_trx_logs.sql:53-64).
+on the multi-column quad key (s,p,o,g). Two forms compute it:
+
+* ``diff_bucket`` — the snapshot-backed sync (pipelines/runs.py). The
+  stored snapshot, the new snapshot and the patch sink share one
+  partitioning, ``hash(g) % n_buckets``, so the diff needs no exchange:
+  inside the ONE ``groupby(bucket)`` task that writes the new snapshot's
+  shard, the prior snapshot's shard for the same bucket is read straight
+  from disk and both anti-join directions run as local Arrow hash joins.
+  Work per bucket is bounded by that bucket, not by the corpus.
+* ``diff_quads`` — the recompute path and the oracle diff: ONE
+  ``full_outer`` Ray Data hash-shuffle join of two arbitrary quad Datasets
+  (no shared partitioning assumed), with both directions falling out of
+  presence markers.
+
+Ordering within a patch file is (warc-ts-free) deterministic: ('-' before
+'+', then s, p, o, g), mirroring retract-then-assert RDF-patch application
+semantics (MOTIVATION.md:40-71) and the reference's ascending trx-log
+order (parse_trx_logs.sql:53-64).
 
 Snapshot construction for tests/oracle: two deterministic "crawl states" of
 the pages table (v1 = earlier crawl missing some docs; v2 = current crawl
@@ -77,6 +89,25 @@ def _pages_version(sf_dir: str, version: int) -> ray.data.Dataset:
 
 def quads_version(sf_dir: str, version: int, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.Dataset:
     return extract_triples(_pages_version(sf_dir, version), batch_size=cfg.quads_batch_size)
+
+
+QUAD_COLS = ["s", "p", "o", "g"]
+
+
+def with_op(quads: pa.Table, op: str) -> pa.Table:
+    """(s, p, o, g) table -> (op, s, p, o, g) changelog rows of one op."""
+    t = quads.select(QUAD_COLS)
+    return t.add_column(0, "op", pa.array([op] * len(t), type=pa.string()))
+
+
+def diff_bucket(prev: pa.Table, new: pa.Table) -> pa.Table:
+    """Changelog (op, s, p, o, g) of ONE bucket whose prior and new quads
+    were keyed by the same ``hash(g) % n_buckets`` — the exchange-free
+    form of :func:`diff_quads` (see the module docstring). Duplicate rows
+    survive like in the ``full_outer`` form; null keys never match."""
+    added = new.join(prev, keys=QUAD_COLS, join_type="left anti")
+    deleted = prev.join(new, keys=QUAD_COLS, join_type="left anti")
+    return pa.concat_tables([with_op(deleted, "-"), with_op(added, "+")])
 
 
 def diff_quads(

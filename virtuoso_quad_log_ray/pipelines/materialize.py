@@ -110,23 +110,10 @@ def materialize_quads(
         return b.append_column("bucket", _bucket_of(b["g"], n_buckets))
 
     def write_bucket(group: pa.Table) -> pa.Table:
-        bucket = int(group["bucket"][0].as_py())
-        rel = f"bucket={bucket:05d}/part.parquet"
+        rel = bucket_rel(int(group["bucket"][0].as_py()))
         if rel in done:  # committed by a prior run of this epoch
             return _meta_table(rel, group, skipped=True)
-        import pyarrow.parquet as pq
-
-        order = pc.sort_indices(
-            group,
-            sort_keys=[(c, "ascending") for c in ("g", "s", "p", "o")],
-        )
-        t = group.take(order).select(["s", "p", "o", "g"])
-        path = os.path.join(out_root, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".part"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
-        return _meta_table(rel, t, skipped=False)
+        return _meta_table(rel, write_snapshot_bucket(group, out_root, rel), skipped=False)
 
     def _meta_table(rel: str, t: pa.Table, *, skipped: bool) -> pa.Table:
         return pa.table(
@@ -143,10 +130,59 @@ def materialize_quads(
         .map_groups(write_bucket, batch_format="pyarrow")
         .take_all()
     )
-    files = sorted(
-        (FileEntry(r["name"], "", int(r["amount"]), "", 0) for r in meta),
-        key=lambda e: e.name,
+    return commit_materialized(
+        out_root,
+        [(r["name"], int(r["amount"])) for r in meta],
+        epoch=epoch,
+        n_buckets=n_buckets,
+        t_run0=t_run0,
     )
+
+
+def bucket_rel(bucket: int) -> str:
+    """Path of bucket ``bucket``'s shard, relative to the snapshot dir."""
+    return f"bucket={bucket:05d}/part.parquet"
+
+
+def bucket_id(rel: str) -> int:
+    """Inverse of :func:`bucket_rel`."""
+    return int(rel.split("/", 1)[0].partition("=")[2])
+
+
+def write_snapshot_bucket(quads: pa.Table, out_root: str, rel: str) -> pa.Table:
+    """Sort one bucket's quads by (g, s, p, o) and write them atomically to
+    ``out_root/rel``; returns the sorted (s, p, o, g) table as written."""
+    import pyarrow.parquet as pq
+
+    order = pc.sort_indices(
+        quads,
+        sort_keys=[(c, "ascending") for c in ("g", "s", "p", "o")],
+    )
+    t = quads.take(order).select(["s", "p", "o", "g"])
+    path = os.path.join(out_root, rel)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".part"
+    pq.write_table(t, tmp)
+    os.replace(tmp, path)
+    return t
+
+
+def commit_materialized(
+    out_root: str,
+    shards: list[tuple[str, int]],
+    *,
+    epoch: str,
+    n_buckets: int,
+    t_run0: float,
+) -> RunManifest:
+    """Commit the manifest of a snapshot whose shards (``(rel, quads)``
+    pairs) are already on disk; ``t_run0`` (perf_counter) marks the run's
+    start for the throughput fields."""
+    import time as _time
+
+    from virtuoso_quad_log_ray.numerics import hash_fingerprint
+
+    files = sorted((FileEntry(rel, "", n, "", 0) for rel, n in shards), key=lambda e: e.name)
     elapsed = _time.perf_counter() - t_run0
     quad_count = sum(e.amount for e in files)
     manifest = RunManifest(
@@ -158,7 +194,7 @@ def materialize_quads(
         files=files,
         elapsed_s=round(elapsed, 3),
         quads_per_sec=round(quad_count / elapsed, 1) if elapsed > 0 else 0.0,
-        hash_fp=hash_fp,
+        hash_fp=hash_fingerprint(),
         n_buckets=n_buckets,
     )
     commit_manifest(out_root, manifest)

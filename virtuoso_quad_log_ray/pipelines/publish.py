@@ -18,7 +18,10 @@ only through the committed manifest (state/manifest.py) — the sham-sentinel
 protocol (T3) without sentinel races. Each map_groups task returns the
 FileEntry metadata of what it wrote; the driver commits the manifest last.
 A failed run leaves orphan .part/renamed files that no reader ever lists
-(T5 rollback for free).
+(T5 rollback for free). The per-bucket writer (``write_patch_files``) and
+the metadata-only commit (``commit_patch_run``) are shared with the
+snapshot-backed runs' single bucket pass (pipelines/runs.py), which
+renders each bucket's changelog in the same task that diffs it.
 
 Driver plane (metadata-sized): ``Bundler`` reproduces the resourcesync
 zip state machine (zipsynchronizer.py:111-173): full chunks seal into
@@ -80,15 +83,12 @@ def write_rdfpatch(
     split-graphs.sh:73-141) is unchanged; for graph spaces of corpus
     cardinality prefer pipelines/materialize.py's bucketed Parquet layout.
     """
-    import datetime as _dt
     import time as _time
-
-    import numpy as np
 
     from virtuoso_quad_log_ray.pipelines.materialize import _bucket_of, default_n_buckets
 
     t_run0 = _time.perf_counter()
-    t_wall0 = _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%d %H:%M:%S.%f")
+    started = wall_clock()
     maxq = cfg.max_quads_per_file
     nb = n_buckets or default_n_buckets()
     os.makedirs(out_root, exist_ok=True)
@@ -97,77 +97,7 @@ def write_rdfpatch(
         return b.append_column("bucket", _bucket_of(b["g"], nb))
 
     def write_bucket(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        order = pc.sort_indices(
-            group,
-            sort_keys=[
-                ("g", "ascending"),
-                ("op", "ascending"),
-                ("s", "ascending"),
-                ("p", "ascending"),
-                ("o", "ascending"),
-            ],
-        )
-        t = group.take(order)
-        # ONE vectorized render for the whole bucket; graphs are contiguous
-        # after the sort, so each graph is a [start, end) slice. The rendered
-        # lines STAY in Arrow (VERDICT r2 #5): file-chunk boundaries become a
-        # ListArray over the line array and one pc.binary_join emits each
-        # file's body in C++ — no per-line PyObjects, one string per FILE.
-        lines = render_patch_lines(t["op"], t["s"], t["p"], t["o"], t["g"])
-        if isinstance(lines, pa.ChunkedArray):
-            lines = lines.combine_chunks()
-        # int64 list bounds over a large_string child (ADVICE r3): one hot
-        # bucket's rendered bytes may exceed int32 offsets at the 100 TB
-        # target; large types make binary_join emit large_string instead of
-        # overflowing (same pattern as warc._render_warc_bytes).
-        lines = lines.cast(pa.large_string())
-        g_np = t["g"].to_numpy(zero_copy_only=False)
-        uniq, starts = np.unique(g_np, return_index=True)  # starts ascending (g sorted)
-        ends = np.append(starts[1:], len(g_np))
-        file_starts: list[int] = []
-        file_graph: list[int] = []
-        file_seq: list[int] = []
-        for gi, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
-            for seq, s0 in enumerate(range(lo, hi, maxq)):
-                file_starts.append(s0)
-                file_graph.append(gi)
-                file_seq.append(seq)
-        bounds = np.append(np.asarray(file_starts, dtype=np.int64), np.int64(len(g_np)))
-        bodies = pc.binary_join(
-            pa.LargeListArray.from_arrays(pa.array(bounds, type=pa.int64()), lines),
-            pa.scalar("\n", type=pa.large_string()),
-        )
-        entries = {"name": [], "graph": [], "amount": [], "md5": [], "length": []}
-        for fi, (s0, gi, seq) in enumerate(zip(file_starts, file_graph, file_seq)):
-            g_iri = uniq[gi]
-            n_chunk = min(s0 + maxq, int(ends[gi])) - s0
-            b64 = graph_b64(g_iri)
-            gdir = os.path.join(out_root, b64)
-            os.makedirs(gdir, exist_ok=True)
-            header = render_file_header(checkpoint, g_iri, n_chunk).encode("utf-8")
-            data = header + bodies[fi].as_py().encode("utf-8") + b"\n"
-            fname = patch_file_name(checkpoint, seq)
-            final = os.path.join(gdir, fname)
-            part = final + ".part"
-            with open(part, "wb") as f:
-                f.write(data)
-            os.replace(part, final)  # atomic per file; visibility via manifest
-            entries["name"].append(f"{b64}/{fname}")
-            entries["graph"].append(g_iri)
-            entries["amount"].append(n_chunk)
-            entries["md5"].append(hashlib.md5(data).hexdigest())
-            entries["length"].append(len(data))
-        return pa.table(
-            {
-                "name": pa.array(entries["name"], type=pa.string()),
-                "graph": pa.array(entries["graph"], type=pa.string()),
-                "amount": pa.array(entries["amount"], type=pa.int64()),
-                "md5": pa.array(entries["md5"], type=pa.string()),
-                "length": pa.array(entries["length"], type=pa.int64()),
-            }
-        )
+        return write_patch_files(group, out_root, checkpoint=checkpoint, maxq=maxq)
 
     # The shuffle writes data files; only file METADATA flows back (small).
     meta = (
@@ -176,10 +106,136 @@ def write_rdfpatch(
         .map_groups(write_bucket, batch_format="pyarrow")
         .take_all()
     )
+    return commit_patch_run(
+        out_root,
+        [patch_entry(r) for r in meta],
+        epoch=epoch,
+        checkpoint=checkpoint,
+        kind=kind,
+        run_index=run_index,
+        last_source=last_source,
+        t_run0=t_run0,
+        started=started,
+    )
 
+
+PATCH_META_SCHEMA = pa.schema(
+    [
+        ("name", pa.string()),
+        ("graph", pa.string()),
+        ("amount", pa.int64()),
+        ("md5", pa.string()),
+        ("length", pa.int64()),
+    ]
+)
+
+
+def wall_clock() -> str:
+    """UTC wall time in the run-report trailer's format."""
+    import datetime as _dt
+
+    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%d %H:%M:%S.%f")
+
+
+def patch_entry(row) -> FileEntry:
+    """One :data:`PATCH_META_SCHEMA` row -> the manifest's FileEntry."""
+    return FileEntry(row["name"], row["graph"], int(row["amount"]), row["md5"], int(row["length"]))
+
+
+def write_patch_files(
+    changelog: pa.Table, out_root: str, *, checkpoint: str, maxq: int
+) -> pa.Table:
+    """Render and write one bucket's changelog rows (op, s, p, o, g) as
+    per-graph rdfpatch files; returns their :data:`PATCH_META_SCHEMA`
+    metadata (the data files stay on disk, only metadata travels).
+
+    The bucket is sorted (g, op, s, p, o) — '-' before '+' within a graph —
+    then rendered in ONE vectorized pass; graphs are contiguous after the
+    sort, so each graph is a [start, end) slice chunked into files of at
+    most ``maxq`` records named by ``checkpoint`` + sequence number.
+    """
+    import numpy as np
+    import pyarrow.compute as pc
+
+    if len(changelog) == 0:
+        return PATCH_META_SCHEMA.empty_table()
+    order = pc.sort_indices(
+        changelog,
+        sort_keys=[(c, "ascending") for c in ("g", "op", "s", "p", "o")],
+    )
+    t = changelog.take(order)
+    # The rendered lines STAY in Arrow (VERDICT r2 #5): file-chunk
+    # boundaries become a ListArray over the line array and one
+    # pc.binary_join emits each file's body in C++ — no per-line PyObjects,
+    # one string per FILE.
+    lines = render_patch_lines(t["op"], t["s"], t["p"], t["o"], t["g"])
+    if isinstance(lines, pa.ChunkedArray):
+        lines = lines.combine_chunks()
+    # int64 list bounds over a large_string child (ADVICE r3): one hot
+    # bucket's rendered bytes may exceed int32 offsets at the 100 TB
+    # target; large types make binary_join emit large_string instead of
+    # overflowing (same pattern as warc._render_warc_bytes).
+    lines = lines.cast(pa.large_string())
+    g_np = t["g"].to_numpy(zero_copy_only=False)
+    uniq, starts = np.unique(g_np, return_index=True)  # starts ascending (g sorted)
+    ends = np.append(starts[1:], len(g_np))
+    file_starts: list[int] = []
+    file_graph: list[int] = []
+    file_seq: list[int] = []
+    for gi, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        for seq, s0 in enumerate(range(lo, hi, maxq)):
+            file_starts.append(s0)
+            file_graph.append(gi)
+            file_seq.append(seq)
+    bounds = np.append(np.asarray(file_starts, dtype=np.int64), np.int64(len(g_np)))
+    bodies = pc.binary_join(
+        pa.LargeListArray.from_arrays(pa.array(bounds, type=pa.int64()), lines),
+        pa.scalar("\n", type=pa.large_string()),
+    )
+    entries: dict[str, list] = {f: [] for f in PATCH_META_SCHEMA.names}
+    for fi, (s0, gi, seq) in enumerate(zip(file_starts, file_graph, file_seq)):
+        g_iri = uniq[gi]
+        n_chunk = min(s0 + maxq, int(ends[gi])) - s0
+        b64 = graph_b64(g_iri)
+        gdir = os.path.join(out_root, b64)
+        os.makedirs(gdir, exist_ok=True)
+        header = render_file_header(checkpoint, g_iri, n_chunk).encode("utf-8")
+        data = header + bodies[fi].as_py().encode("utf-8") + b"\n"
+        fname = patch_file_name(checkpoint, seq)
+        final = os.path.join(gdir, fname)
+        part = final + ".part"
+        with open(part, "wb") as f:
+            f.write(data)
+        os.replace(part, final)  # atomic per file; visibility via manifest
+        entries["name"].append(f"{b64}/{fname}")
+        entries["graph"].append(g_iri)
+        entries["amount"].append(n_chunk)
+        entries["md5"].append(hashlib.md5(data).hexdigest())
+        entries["length"].append(len(data))
+    return pa.table(entries, schema=PATCH_META_SCHEMA)
+
+
+def commit_patch_run(
+    out_root: str,
+    files: list[FileEntry],
+    *,
+    epoch: str,
+    checkpoint: str,
+    kind: str,
+    run_index: int,
+    last_source: str,
+    t_run0: float,
+    started: str,
+) -> RunManifest:
+    """Metadata-only commit of a patch run whose files are already on
+    disk: merge ``files`` into the committed manifest, commit it, then
+    write the advisory run report. ``t_run0`` (perf_counter) and
+    ``started`` (:func:`wall_clock`) mark the run's start for the
+    throughput fields and the report."""
+    import time as _time
+
+    files = sorted(files, key=lambda e: e.name)
     prev = load_manifest(out_root)
-    files = [FileEntry(r["name"], r["graph"], int(r["amount"]), r["md5"], int(r["length"])) for r in meta]
-    files.sort(key=lambda e: e.name)
     quad_count = sum(e.amount for e in files)
     # Replay safety (VERDICT r3 #1, T1/T3): a crashed-then-retried run
     # re-publishes the SAME file names with byte-identical content (names
@@ -205,7 +261,7 @@ def write_rdfpatch(
         quads_per_sec=round(quad_count / elapsed, 1) if elapsed > 0 else 0.0,
     )
     commit_manifest(out_root, manifest)
-    _write_run_report(out_root, manifest, started=t_wall0)
+    _write_run_report(out_root, manifest, started=started)
     return manifest
 
 
@@ -218,11 +274,9 @@ def _write_run_report(out_root: str, manifest: RunManifest, *, started) -> None:
     this file is advisory (written AFTER the commit; a crash in between
     just leaves the previous report) and round-trips through
     ``parse_patch_text``."""
-    import datetime as _dt
-
     from virtuoso_quad_log_ray.rdfpatch import render_dump_trailer, render_sync_trailer
 
-    now = _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%d %H:%M:%S.%f")
+    now = wall_clock()
     if manifest.kind == "dump":
         text = render_dump_trailer(
             manifest.checkpoint, started, now, manifest.quad_count, manifest.file_count
