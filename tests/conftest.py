@@ -71,3 +71,53 @@ def assert_matches_oracle(ray_result, con, sql, sort_cols):
         av, bv = a[c].astype(str).values, b[c].astype(str).values
         bad = av != bv
         assert not bad.any(), f"col {c}: {av[bad][:3]} != {bv[bad][:3]}"
+
+
+RESUMABLE_SINKS = ["materialize", "jsonl", "warc"]
+
+
+def resumable_sink(name):
+    """``(write, rows, shard, keys)`` of a sink with same-epoch per-bucket
+    resume: its writer, a fresh input Dataset, the file name of bucket K
+    and the row keys stored in one shard file."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from virtuoso_quad_log_ray.pipelines import kg
+    from virtuoso_quad_log_ray.pipelines.materialize import bucket_rel, materialize_quads
+    from virtuoso_quad_log_ray.sources.pages import read_pages, write_jsonl_corpus
+    from virtuoso_quad_log_ray.sources.warc import parse_warc_bytes, write_warc_corpus
+
+    def quad_keys(path):
+        t = pq.read_table(path)
+        return list(zip(*[t[c].to_pylist() for c in ("s", "p", "o", "g")]))
+
+    def jsonl_keys(path):
+        with open(path) as f:
+            return [json.loads(line)["url"] for line in f]
+
+    def warc_keys(path):
+        with open(path, "rb") as f:
+            return [r["url"] for r in parse_warc_bytes(f.read())]
+
+    return {
+        "materialize": (
+            materialize_quads,
+            lambda: kg.dedup_quads(kg.build_quads(SF_SMALL)),
+            bucket_rel,
+            quad_keys,
+        ),
+        "jsonl": (
+            write_jsonl_corpus,
+            lambda: read_pages(SF_SMALL, include_html=False),
+            lambda k: f"shard-{k:05d}.jsonl",
+            jsonl_keys,
+        ),
+        "warc": (
+            write_warc_corpus,
+            lambda: read_pages(SF_SMALL, include_html=True),
+            lambda k: f"shard-{k:05d}.warc",
+            warc_keys,
+        ),
+    }[name]

@@ -5,7 +5,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
-from tests.conftest import SF_SMALL, assert_matches_oracle, to_arrow
+from tests.conftest import (
+    RESUMABLE_SINKS,
+    SF_SMALL,
+    assert_matches_oracle,
+    resumable_sink,
+    to_arrow,
+)
 from virtuoso_quad_log_ray.pipelines import changelog as cl
 from virtuoso_quad_log_ray.pipelines import kg
 
@@ -422,8 +428,9 @@ class TestJsonlSink:
 @pytest.mark.usefixtures("ray_session")
 class TestExportResume:
     """Same-epoch re-runs of the export sinks echo committed buckets from
-    the manifest without touching shard files (the materialize_quads
-    per-partition resume protocol); a different epoch rewrites."""
+    the manifest without touching shard files (the shared per-bucket
+    resume gate, materialize.reusable_entries); a different epoch
+    rewrites."""
 
     def test_jsonl_same_epoch_resume_skips_io(self, tmp_path):
         import os
@@ -451,33 +458,33 @@ class TestExportResume:
         )  # a new epoch re-renders
 
     def test_jsonl_bucket_count_change_rerenders(self, tmp_path):
+        self._check_bucket_count_change_rerenders(tmp_path, "jsonl")
+
+    @pytest.mark.parametrize("sink", [s for s in RESUMABLE_SINKS if s != "jsonl"])
+    def test_bucket_count_change_rerenders(self, tmp_path, sink):
+        self._check_bucket_count_change_rerenders(tmp_path, sink)
+
+    def _check_bucket_count_change_rerenders(self, tmp_path, sink):
         """ADVICE r4: same epoch with a DIFFERENT n_buckets must not echo
         stale shards — default_n_buckets() is CPU-adaptive, so resuming on a
-        different-sized host re-keys rows while shard-NNNNN names collide.
+        different-sized host re-keys rows while shard names collide.
         The resume guard requires prev.n_buckets == nb; a mismatch rewrites
-        everything and the union of shard rows stays equal to the corpus."""
-        import json
+        everything and the union of shard rows stays equal to the input."""
         import os
 
-        from virtuoso_quad_log_ray.sources.pages import read_pages, write_jsonl_corpus
-
-        root = str(tmp_path / "resume_jsonl_nb")
-        pages = read_pages(SF_SMALL, include_html=False)
-        man1 = write_jsonl_corpus(pages, root, epoch="E1", n_buckets=4)
+        write, rows, shard, keys = resumable_sink(sink)
+        root = str(tmp_path / "resume_nb")
+        man1 = write(rows(), root, epoch="E1", n_buckets=4)
         assert man1.n_buckets == 4
-        # Resume the same epoch keyed to 2 buckets: shard-00000/00001 names
+        # Resume the same epoch keyed to 2 buckets: the bucket 0/1 names
         # collide with the 4-bucket layout but hold different row sets.
-        man2 = write_jsonl_corpus(pages, root, epoch="E1", n_buckets=2)
+        man2 = write(rows(), root, epoch="E1", n_buckets=2)
         assert man2.n_buckets == 2
-        assert {e.name for e in man2.files} == {
-            "shard-00000.jsonl",
-            "shard-00001.jsonl",
-        }
-        urls = set()
+        assert {e.name for e in man2.files} == {shard(0), shard(1)}
+        stored = set()
         for e in man2.files:
-            with open(os.path.join(root, e.name)) as f:
-                urls.update(json.loads(line)["url"] for line in f)
-        assert len(urls) == pages.count()  # no row lost to a stale echo
+            stored.update(keys(os.path.join(root, e.name)))
+        assert len(stored) == rows().count()  # no row lost to a stale echo
 
     def test_warc_same_epoch_resume_skips_io(self, tmp_path):
         import os

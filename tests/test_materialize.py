@@ -5,7 +5,7 @@ import os
 import pyarrow.parquet as pq
 import pytest
 
-from tests.conftest import SF_SMALL, to_arrow
+from tests.conftest import RESUMABLE_SINKS, SF_SMALL, resumable_sink, to_arrow
 from virtuoso_quad_log_ray.pipelines import kg
 from virtuoso_quad_log_ray.pipelines.materialize import (
     materialize_quads,
@@ -61,16 +61,32 @@ class TestMaterialize:
         assert m2.quad_count == m1.quad_count
         assert m2.file_count == m1.file_count == 4
 
+        # a committed shard that went missing is rewritten, not echoed
+        lost = m1.files[0].name
+        os.remove(os.path.join(root, lost))
+        quads3 = kg.dedup_quads(kg.build_quads(SF_SMALL))
+        m3 = materialize_quads(quads3, root, epoch="E1", n_buckets=4)
+        assert os.path.exists(os.path.join(root, lost))
+        assert [(e.name, e.amount) for e in m3.files] == [(e.name, e.amount) for e in m1.files]
+        assert read_materialized(root).count() == m1.quad_count
+
     def test_resume_invalidated_on_hash_fp_mismatch(self, tmp_path):
+        self._check_resume_invalidated_on_hash_fp_mismatch(tmp_path, "materialize")
+
+    @pytest.mark.parametrize("sink", [s for s in RESUMABLE_SINKS if s != "materialize"])
+    def test_export_resume_invalidated_on_hash_fp_mismatch(self, tmp_path, sink):
+        self._check_resume_invalidated_on_hash_fp_mismatch(tmp_path, sink)
+
+    def _check_resume_invalidated_on_hash_fp_mismatch(self, tmp_path, sink):
         """ADVICE r2: same-epoch resume must not trust bucket ids keyed by a
         DIFFERENT hash128 implementation — a tampered/stale fingerprint in
         the committed manifest forces a full rewrite instead of skipping."""
         import json
         import time
 
+        write, rows, _, _ = resumable_sink(sink)
         root = str(tmp_path / "adj")
-        quads = kg.dedup_quads(kg.build_quads(SF_SMALL))
-        m1 = materialize_quads(quads, root, epoch="E1", n_buckets=4)
+        m1 = write(rows(), root, epoch="E1", n_buckets=4)
         from virtuoso_quad_log_ray.numerics import hash_fingerprint
 
         assert m1.hash_fp == hash_fingerprint() and m1.hash_fp
@@ -83,16 +99,10 @@ class TestMaterialize:
         doc["hash_fp"] = "polars-0.0.0:deadbeef"
         with open(os.path.join(root, name), "w") as f:
             json.dump(doc, f)
-        parts = sorted(
-            os.path.join(d, "part.parquet")
-            for d in os.listdir(root)
-            if d.startswith("bucket=")
-        )
+        parts = sorted(e.name for e in m1.files)
         mtimes = {p: os.path.getmtime(os.path.join(root, p)) for p in parts}
         time.sleep(0.05)
-        m2 = materialize_quads(
-            kg.dedup_quads(kg.build_quads(SF_SMALL)), root, epoch="E1", n_buckets=4
-        )
+        m2 = write(rows(), root, epoch="E1", n_buckets=4)
         assert m2.hash_fp == hash_fingerprint()
         assert m2.quad_count == m1.quad_count
         # every bucket rewritten (no skips against an untrusted layout)

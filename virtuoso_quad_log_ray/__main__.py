@@ -197,13 +197,11 @@ def main(argv: list[str] | None = None) -> int:
             from virtuoso_quad_log_ray.pipelines.kg import build_quads, dedup_quads
             from virtuoso_quad_log_ray.pipelines.materialize import materialize_quads
 
-            cfg = _cfg(args)
             man = materialize_quads(
-                dedup_quads(build_quads(args.sf, cfg)),
+                dedup_quads(build_quads(args.sf, _cfg(args))),
                 args.out,
                 epoch=epoch,
                 n_buckets=args.buckets,
-                cfg=cfg,
             )
             print(f"materialize: {man.quad_count} quads in {man.file_count} partitions")
     finally:

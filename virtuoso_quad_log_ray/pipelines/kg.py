@@ -196,15 +196,11 @@ def chunk_plan(
     global sort (the reference's ORDER BY ?g, dump_nquads.sql:49, is
     unnecessary under hashing).
     """
-    from virtuoso_quad_log_ray.pipelines.materialize import _bucket_of, default_n_buckets
+    from virtuoso_quad_log_ray.pipelines.materialize import by_bucket, default_n_buckets
 
     maxq = max_quads_per_file or cfg.max_quads_per_file
-    nb = n_buckets or default_n_buckets()
 
-    def keyed(b: pa.Table) -> pa.Table:
-        return b.append_column("bucket", _bucket_of(b["g"], nb))
-
-    def assign(group: pa.Table) -> pa.Table:
+    def assign(bucket: int, group: pa.Table) -> pa.Table:
         order = pc.sort_indices(
             group,
             sort_keys=[
@@ -222,12 +218,7 @@ def chunk_plan(
         seq = (np.arange(n, dtype=np.int64) - seg_start) // maxq
         return t.append_column("file_seq", pa.array(seq))
 
-    quads = build_quads(sf_dir, cfg)
-    return (
-        quads.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(assign, batch_format="pyarrow")
-    )
+    return by_bucket(build_quads(sf_dir, cfg), "g", n_buckets or default_n_buckets(), assign)
 
 
 def chunk_plan_sql(maxq: int) -> str:

@@ -15,17 +15,29 @@ scale:
 - One ``groupby(bucket).map_groups`` shuffle does partitioning + sorting +
   writing; only file metadata returns to the driver, which commits a
   manifest last (resumable: a re-run skips buckets already committed).
+
+This module is also the one home of that bucketed-sink protocol, which
+every file sink shares: :func:`by_bucket` (the keying and the single
+shuffle), :func:`write_atomic` (``.part`` + rename, md5 + length),
+:func:`reusable_entries` (the same-epoch resume gate) and
+:func:`commit_materialized` (the manifest of a non-append sink), composed
+by :func:`write_bucketed` for one-file-per-bucket sinks — the snapshot
+here, ``pages.write_jsonl_corpus`` and ``warc.write_warc_corpus``. The
+append-only patch sinks (``publish.write_rdfpatch``, ``runs._bucket_pass``)
+use the shuffle and the writer but commit through
+``publish.commit_patch_run``; ``kg.chunk_plan`` uses only the shuffle.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.state.manifest import (
     FileEntry,
     RunManifest,
@@ -68,74 +80,171 @@ def default_n_buckets() -> int:
     return min(4096, max(64, cluster_cpus() * 16))
 
 
+def by_bucket(
+    ds: ray.data.Dataset,
+    key: str,
+    n_buckets: int,
+    fn,
+    *,
+    schema: pa.Schema | None = None,
+    also=(),
+) -> ray.data.Dataset:
+    """The one bucketed shuffle every sink shares: rows keyed by
+    ``hash(row[key]) % n_buckets``, ONE ``groupby(bucket).map_groups``,
+    and ``fn(bucket, rows)`` per bucket (``rows`` without the bucket
+    column) returning an Arrow table. Lazy: the caller executes it.
+
+    ``schema`` projects and casts rows before keying. ``also`` names
+    bucket ids that must get a task even when no row hashes there (a sync
+    must emit the '-' records of a bucket that emptied): one null-key
+    marker row of ``schema`` per id is unioned in before the groupby and
+    dropped before ``fn`` sees the rows."""
+
+    def keyed(b: pa.Table) -> pa.Table:
+        if schema is not None:
+            b = b.select(schema.names).cast(schema)
+        return b.append_column("bucket", _bucket_of(b[key], n_buckets))
+
+    def run(group: pa.Table) -> pa.Table:
+        bucket = int(group["bucket"][0].as_py())
+        rows = group.drop_columns(["bucket"])
+        if also:
+            rows = rows.filter(pc.is_valid(rows[key]))
+        return fn(bucket, rows)
+
+    ds = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
+    if also:
+        ids = sorted(set(also))
+        markers = pa.table(
+            {f.name: pa.nulls(len(ids), f.type) for f in schema}
+            | {"bucket": pa.array(ids, type=pa.int64())}
+        )
+        ds = ds.union(ray.data.from_arrow(markers))
+    return ds.groupby("bucket").map_groups(run, batch_format="pyarrow")
+
+
+ENTRY_SCHEMA = pa.schema(
+    [
+        ("name", pa.string()),
+        ("graph", pa.string()),
+        ("amount", pa.int64()),
+        ("md5", pa.string()),
+        ("length", pa.int64()),
+    ]
+)
+
+
+def entries_table(entries: list[FileEntry]) -> pa.Table:
+    """FileEntry list -> :data:`ENTRY_SCHEMA` table: the only thing a
+    bucket task sends back (the data files stay on disk)."""
+    return pa.Table.from_pylist([vars(e) for e in entries], schema=ENTRY_SCHEMA)
+
+
+def entry_of(row) -> FileEntry:
+    """One :data:`ENTRY_SCHEMA` row -> the manifest's FileEntry."""
+    return FileEntry(row["name"], row["graph"], int(row["amount"]), row["md5"], int(row["length"]))
+
+
+def write_atomic(path: str, data) -> tuple[str, int]:
+    """Write ``data`` (bytes-like) to ``path`` through ``path.part`` +
+    rename, so a reader sees the whole file or none of it; returns its
+    md5 hex digest and length for the manifest."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    part = path + ".part"
+    with open(part, "wb") as f:
+        f.write(data)
+    os.replace(part, path)
+    return hashlib.md5(data).hexdigest(), len(data)
+
+
+def reusable_entries(out_root: str, *, epoch: str, n_buckets: int) -> dict[str, FileEntry]:
+    """Same-epoch resume gate: the committed entries a re-run may echo
+    unchanged instead of rewriting, by name.
+
+    A committed file is reusable only when its manifest has the same
+    epoch, the same hash fingerprint and the same bucket count, and the
+    file still exists. Bucket ids depend on the hash128 implementation
+    (polars version / md5 fallback): under another fingerprint a bucket's
+    contents may have moved (ADVICE r2: silent missing/duplicated rows).
+    ``default_n_buckets()`` is CPU-adaptive, so the same epoch on a
+    different-sized host re-keys rows while shard names collide with
+    stale output (ADVICE r4)."""
+    from virtuoso_quad_log_ray.numerics import hash_fingerprint
+
+    prev = load_manifest(out_root)
+    if (
+        prev is None
+        or prev.epoch != epoch
+        or prev.hash_fp != hash_fingerprint()
+        or prev.n_buckets != n_buckets
+    ):
+        return {}
+    return {e.name: e for e in prev.files if os.path.exists(os.path.join(out_root, e.name))}
+
+
+def write_bucketed(
+    ds: ray.data.Dataset,
+    out_root: str,
+    *,
+    key: str,
+    kind: str,
+    epoch: str,
+    n_buckets: int | None,
+    shard,
+    write,
+    schema: pa.Schema | None = None,
+) -> RunManifest:
+    """Resumable bucketed sink: one file per bucket, committed last.
+
+    Rows go through :func:`by_bucket`. Bucket K's file is
+    ``out_root/shard(K)``, written by ``write(rows, path) -> (md5,
+    length)``, unless a committed run of the same epoch already wrote it
+    (:func:`reusable_entries`); then its entry is echoed and the file is
+    not touched. Only entries return; the manifest commits after every
+    bucket is on disk, so a crashed run leaves nothing visible."""
+    nb = n_buckets or default_n_buckets()
+    t_run0 = time.perf_counter()
+    os.makedirs(out_root, exist_ok=True)
+    done = reusable_entries(out_root, epoch=epoch, n_buckets=nb)
+
+    def write_bucket(bucket: int, rows: pa.Table) -> pa.Table:
+        rel = shard(bucket)
+        entry = done.get(rel)
+        if entry is None:
+            md5, length = write(rows, os.path.join(out_root, rel))
+            entry = FileEntry(rel, "", len(rows), md5, length)
+        return entries_table([entry])
+
+    meta = by_bucket(ds, key, nb, write_bucket, schema=schema).take_all()
+    return commit_materialized(
+        out_root, [entry_of(r) for r in meta], kind=kind, epoch=epoch, n_buckets=nb, t_run0=t_run0
+    )
+
+
 def materialize_quads(
     quads: ray.data.Dataset,
     out_root: str,
     *,
     epoch: str,
     n_buckets: int | None = None,
-    cfg: EngineConfig = DEFAULT_CONFIG,
 ) -> RunManifest:
     """quads (s, p, o, g) -> ``out_root/bucket=K/part.parquet`` sorted
     adjacency partitions + committed manifest. Skips buckets already in a
     committed manifest with the same epoch (per-partition resume)."""
-    if n_buckets is None:
-        n_buckets = default_n_buckets()
-    import time as _time
 
-    from virtuoso_quad_log_ray.numerics import hash_fingerprint
+    def write(rows: pa.Table, path: str) -> tuple[str, int]:
+        write_snapshot_bucket(rows, path)
+        return "", 0  # shards are not checksummed
 
-    t_run0 = _time.perf_counter()
-    os.makedirs(out_root, exist_ok=True)
-    # Same-epoch resume trusts persisted bucket ids, which depend on the
-    # hash128 implementation (polars version / md5 fallback). If the
-    # environment's hash fingerprint changed since the committed manifest,
-    # bucket contents may have moved — rewrite everything instead of
-    # skipping buckets (ADVICE r2: silent missing/duplicated quads).
-    # n_buckets guard (ADVICE r4): default_n_buckets() is CPU-adaptive, so
-    # resuming the same epoch on a different-sized host would re-key rows
-    # to different buckets while bucket=K names collide with stale output.
-    hash_fp = hash_fingerprint()
-    prev = load_manifest(out_root)
-    done: set[str] = (
-        {e.name for e in prev.files}
-        if prev
-        and prev.epoch == epoch
-        and prev.hash_fp == hash_fp
-        and prev.n_buckets == n_buckets
-        else set()
-    )
-
-    def keyed(b: pa.Table) -> pa.Table:
-        return b.append_column("bucket", _bucket_of(b["g"], n_buckets))
-
-    def write_bucket(group: pa.Table) -> pa.Table:
-        rel = bucket_rel(int(group["bucket"][0].as_py()))
-        if rel in done:  # committed by a prior run of this epoch
-            return _meta_table(rel, group, skipped=True)
-        return _meta_table(rel, write_snapshot_bucket(group, out_root, rel), skipped=False)
-
-    def _meta_table(rel: str, t: pa.Table, *, skipped: bool) -> pa.Table:
-        return pa.table(
-            {
-                "name": pa.array([rel], type=pa.string()),
-                "amount": pa.array([len(t)], type=pa.int64()),
-                "skipped": pa.array([skipped]),
-            }
-        )
-
-    meta = (
-        quads.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(write_bucket, batch_format="pyarrow")
-        .take_all()
-    )
-    return commit_materialized(
+    return write_bucketed(
+        quads,
         out_root,
-        [(r["name"], int(r["amount"])) for r in meta],
+        key="g",
+        kind="materialize",
         epoch=epoch,
         n_buckets=n_buckets,
-        t_run0=t_run0,
+        shard=bucket_rel,
+        write=write,
     )
 
 
@@ -149,9 +258,9 @@ def bucket_id(rel: str) -> int:
     return int(rel.split("/", 1)[0].partition("=")[2])
 
 
-def write_snapshot_bucket(quads: pa.Table, out_root: str, rel: str) -> pa.Table:
+def write_snapshot_bucket(quads: pa.Table, path: str) -> pa.Table:
     """Sort one bucket's quads by (g, s, p, o) and write them atomically to
-    ``out_root/rel``; returns the sorted (s, p, o, g) table as written."""
+    ``path``; returns the sorted (s, p, o, g) table as written."""
     import pyarrow.parquet as pq
 
     order = pc.sort_indices(
@@ -159,7 +268,6 @@ def write_snapshot_bucket(quads: pa.Table, out_root: str, rel: str) -> pa.Table:
         sort_keys=[(c, "ascending") for c in ("g", "s", "p", "o")],
     )
     t = quads.take(order).select(["s", "p", "o", "g"])
-    path = os.path.join(out_root, rel)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".part"
     pq.write_table(t, tmp)
@@ -169,26 +277,25 @@ def write_snapshot_bucket(quads: pa.Table, out_root: str, rel: str) -> pa.Table:
 
 def commit_materialized(
     out_root: str,
-    shards: list[tuple[str, int]],
+    files: list[FileEntry],
     *,
+    kind: str,
     epoch: str,
     n_buckets: int,
     t_run0: float,
 ) -> RunManifest:
-    """Commit the manifest of a snapshot whose shards (``(rel, quads)``
-    pairs) are already on disk; ``t_run0`` (perf_counter) marks the run's
-    start for the throughput fields."""
-    import time as _time
-
+    """Commit the manifest of a non-append bucketed sink (snapshot, JSONL,
+    WARC) whose ``files`` are already on disk; ``t_run0`` (perf_counter)
+    marks the run's start for the throughput fields."""
     from virtuoso_quad_log_ray.numerics import hash_fingerprint
 
-    files = sorted((FileEntry(rel, "", n, "", 0) for rel, n in shards), key=lambda e: e.name)
-    elapsed = _time.perf_counter() - t_run0
+    files = sorted(files, key=lambda e: e.name)
+    elapsed = time.perf_counter() - t_run0
     quad_count = sum(e.amount for e in files)
     manifest = RunManifest(
         epoch=epoch,
         checkpoint="",
-        kind="materialize",
+        kind=kind,
         quad_count=quad_count,
         file_count=len(files),
         files=files,

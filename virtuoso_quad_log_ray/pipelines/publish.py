@@ -13,15 +13,17 @@ reference components did serially:
   * the graph-splitter's dir-per-graph move (split-graphs.sh:73-141) —
     files land directly in ``<b64(graph)>/rdf_out_<ts14>-<seq>``.
 
-Atomicity: files are written to ``*.part`` and renamed, and become visible
-only through the committed manifest (state/manifest.py) — the sham-sentinel
-protocol (T3) without sentinel races. Each map_groups task returns the
-FileEntry metadata of what it wrote; the driver commits the manifest last.
-A failed run leaves orphan .part/renamed files that no reader ever lists
-(T5 rollback for free). The per-bucket writer (``write_patch_files``) and
-the metadata-only commit (``commit_patch_run``) are shared with the
-snapshot-backed runs' single bucket pass (pipelines/runs.py), which
-renders each bucket's changelog in the same task that diffs it.
+Atomicity: the shuffle (``materialize.by_bucket``) and the ``*.part`` +
+rename writer (``materialize.write_atomic``) are the shared bucketed-sink
+helpers; files become visible only through the committed manifest
+(state/manifest.py) — the sham-sentinel protocol (T3) without sentinel
+races. Each bucket task returns the FileEntry metadata of what it wrote;
+the driver commits the manifest last. A failed run leaves orphan
+.part/renamed files that no reader ever lists (T5 rollback for free). The
+per-bucket writer (``write_patch_files``) and the metadata-only commit
+(``commit_patch_run``) are shared with the snapshot-backed runs' single
+bucket pass (pipelines/runs.py), which renders each bucket's changelog in
+the same task that diffs it.
 
 Driver plane (metadata-sized): ``Bundler`` reproduces the resourcesync
 zip state machine (zipsynchronizer.py:111-173): full chunks seal into
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 import zipfile
 from dataclasses import dataclass
 
@@ -42,6 +45,13 @@ import pyarrow as pa
 import ray.data
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
+from virtuoso_quad_log_ray.pipelines.materialize import (
+    by_bucket,
+    default_n_buckets,
+    entries_table,
+    entry_of,
+    write_atomic,
+)
 from virtuoso_quad_log_ray.rdfpatch import (
     TS14_ZERO,
     graph_b64,
@@ -67,7 +77,6 @@ def write_rdfpatch(
     cfg: EngineConfig = DEFAULT_CONFIG,
     run_index: int = 0,
     last_source: str = "",
-    n_buckets: int | None = None,
 ) -> RunManifest:
     """Distributed rdfpatch write + manifest commit.
 
@@ -83,32 +92,18 @@ def write_rdfpatch(
     split-graphs.sh:73-141) is unchanged; for graph spaces of corpus
     cardinality prefer pipelines/materialize.py's bucketed Parquet layout.
     """
-    import time as _time
-
-    from virtuoso_quad_log_ray.pipelines.materialize import _bucket_of, default_n_buckets
-
-    t_run0 = _time.perf_counter()
+    t_run0 = time.perf_counter()
     started = wall_clock()
     maxq = cfg.max_quads_per_file
-    nb = n_buckets or default_n_buckets()
     os.makedirs(out_root, exist_ok=True)
 
-    def keyed(b: pa.Table) -> pa.Table:
-        return b.append_column("bucket", _bucket_of(b["g"], nb))
+    def write_bucket(bucket: int, rows: pa.Table) -> pa.Table:
+        return entries_table(write_patch_files(rows, out_root, checkpoint=checkpoint, maxq=maxq))
 
-    def write_bucket(group: pa.Table) -> pa.Table:
-        return write_patch_files(group, out_root, checkpoint=checkpoint, maxq=maxq)
-
-    # The shuffle writes data files; only file METADATA flows back (small).
-    meta = (
-        changelog.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(write_bucket, batch_format="pyarrow")
-        .take_all()
-    )
+    meta = by_bucket(changelog, "g", default_n_buckets(), write_bucket).take_all()
     return commit_patch_run(
         out_root,
-        [patch_entry(r) for r in meta],
+        [entry_of(r) for r in meta],
         epoch=epoch,
         checkpoint=checkpoint,
         kind=kind,
@@ -119,17 +114,6 @@ def write_rdfpatch(
     )
 
 
-PATCH_META_SCHEMA = pa.schema(
-    [
-        ("name", pa.string()),
-        ("graph", pa.string()),
-        ("amount", pa.int64()),
-        ("md5", pa.string()),
-        ("length", pa.int64()),
-    ]
-)
-
-
 def wall_clock() -> str:
     """UTC wall time in the run-report trailer's format."""
     import datetime as _dt
@@ -137,17 +121,11 @@ def wall_clock() -> str:
     return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%d %H:%M:%S.%f")
 
 
-def patch_entry(row) -> FileEntry:
-    """One :data:`PATCH_META_SCHEMA` row -> the manifest's FileEntry."""
-    return FileEntry(row["name"], row["graph"], int(row["amount"]), row["md5"], int(row["length"]))
-
-
 def write_patch_files(
     changelog: pa.Table, out_root: str, *, checkpoint: str, maxq: int
-) -> pa.Table:
+) -> list[FileEntry]:
     """Render and write one bucket's changelog rows (op, s, p, o, g) as
-    per-graph rdfpatch files; returns their :data:`PATCH_META_SCHEMA`
-    metadata (the data files stay on disk, only metadata travels).
+    per-graph rdfpatch files; returns their FileEntries.
 
     The bucket is sorted (g, op, s, p, o) — '-' before '+' within a graph —
     then rendered in ONE vectorized pass; graphs are contiguous after the
@@ -158,7 +136,7 @@ def write_patch_files(
     import pyarrow.compute as pc
 
     if len(changelog) == 0:
-        return PATCH_META_SCHEMA.empty_table()
+        return []
     order = pc.sort_indices(
         changelog,
         sort_keys=[(c, "ascending") for c in ("g", "op", "s", "p", "o")],
@@ -192,27 +170,17 @@ def write_patch_files(
         pa.LargeListArray.from_arrays(pa.array(bounds, type=pa.int64()), lines),
         pa.scalar("\n", type=pa.large_string()),
     )
-    entries: dict[str, list] = {f: [] for f in PATCH_META_SCHEMA.names}
+    entries = []
     for fi, (s0, gi, seq) in enumerate(zip(file_starts, file_graph, file_seq)):
         g_iri = uniq[gi]
         n_chunk = min(s0 + maxq, int(ends[gi])) - s0
-        b64 = graph_b64(g_iri)
-        gdir = os.path.join(out_root, b64)
-        os.makedirs(gdir, exist_ok=True)
         header = render_file_header(checkpoint, g_iri, n_chunk).encode("utf-8")
         data = header + bodies[fi].as_py().encode("utf-8") + b"\n"
-        fname = patch_file_name(checkpoint, seq)
-        final = os.path.join(gdir, fname)
-        part = final + ".part"
-        with open(part, "wb") as f:
-            f.write(data)
-        os.replace(part, final)  # atomic per file; visibility via manifest
-        entries["name"].append(f"{b64}/{fname}")
-        entries["graph"].append(g_iri)
-        entries["amount"].append(n_chunk)
-        entries["md5"].append(hashlib.md5(data).hexdigest())
-        entries["length"].append(len(data))
-    return pa.table(entries, schema=PATCH_META_SCHEMA)
+        rel = f"{graph_b64(g_iri)}/{patch_file_name(checkpoint, seq)}"
+        # atomic per file; visibility via manifest
+        md5, length = write_atomic(os.path.join(out_root, rel), data)
+        entries.append(FileEntry(rel, g_iri, n_chunk, md5, length))
+    return entries
 
 
 def commit_patch_run(
@@ -232,8 +200,6 @@ def commit_patch_run(
     write the advisory run report. ``t_run0`` (perf_counter) and
     ``started`` (:func:`wall_clock`) mark the run's start for the
     throughput fields and the report."""
-    import time as _time
-
     files = sorted(files, key=lambda e: e.name)
     prev = load_manifest(out_root)
     quad_count = sum(e.amount for e in files)
@@ -245,7 +211,7 @@ def commit_patch_run(
     # the merged list so they can never double-count a replayed run.
     new_names = {e.name for e in files}
     all_files = [e for e in (prev.files if prev else []) if e.name not in new_names] + files
-    elapsed = _time.perf_counter() - t_run0
+    elapsed = time.perf_counter() - t_run0
     manifest = RunManifest(
         epoch=epoch,
         checkpoint=checkpoint,
@@ -290,10 +256,7 @@ def _write_run_report(out_root: str, manifest: RunManifest, *, started) -> None:
             manifest.file_count,
         )
         name = "vql_syncinfo.txt"
-    tmp = os.path.join(out_root, name + ".part")
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, os.path.join(out_root, name))
+    write_atomic(os.path.join(out_root, name), text.encode("utf-8"))
 
 
 def resolve_bundler(spec: str | None = None):

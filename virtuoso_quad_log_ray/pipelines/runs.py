@@ -55,7 +55,12 @@ from virtuoso_quad_log_ray.pipelines.publish import (
 )
 from virtuoso_quad_log_ray.rdfpatch import TS14_ZERO
 from virtuoso_quad_log_ray.state import checkpoint as ckpt
-from virtuoso_quad_log_ray.state.manifest import FileEntry, RunManifest, load_manifest
+from virtuoso_quad_log_ray.state.manifest import (
+    FileEntry,
+    RunManifest,
+    load_manifest,
+    write_durable,
+)
 
 
 def _with_op(quads: ray.data.Dataset, op: str) -> ray.data.Dataset:
@@ -126,12 +131,7 @@ def commit_snapshot(root: str, name: str) -> None:
     all but the two most recent snapshot dirs."""
     import shutil
 
-    tmp = os.path.join(root, SNAPSHOT_POINTER + ".tmp")
-    with open(tmp, "w") as f:
-        f.write(name)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(root, SNAPSHOT_POINTER))
+    write_durable(os.path.join(root, SNAPSHOT_POINTER), name)
     snaps = sorted(d for d in os.listdir(root) if d.startswith("at-"))
     for stale in snaps[:-2]:
         shutil.rmtree(os.path.join(root, stale), ignore_errors=True)
@@ -162,7 +162,7 @@ def _bucket_pass(
     cfg: EngineConfig,
     prev_dir: str | None = None,
     prev_buckets: tuple[int, ...] = (),
-) -> tuple[list[tuple[str, int]], list[FileEntry]]:
+) -> tuple[list[FileEntry], list[FileEntry]]:
     """One shuffle: new quads keyed by ``hash(g) % n_buckets`` -> per bucket
     the sorted snapshot shard under ``snap_dir`` and the patch files under
     ``out_root``. Returns ``(shards, patch_entries)`` for the caller's
@@ -171,64 +171,47 @@ def _bucket_pass(
     checks the prior snapshot's manifest (:func:`_aligned_snapshot`).
 
     A bucket that held prior quads but receives no new ones still needs a
-    task to emit its '-' records: one null-quad marker row per prior bucket
-    id is unioned in before the groupby and dropped inside the task.
+    task to emit its '-' records: every prior bucket id is passed to
+    ``by_bucket`` as ``also``.
     """
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     from virtuoso_quad_log_ray.pipelines.changelog import QUAD_COLS, diff_bucket
     from virtuoso_quad_log_ray.pipelines.materialize import (
-        _bucket_of,
         bucket_rel,
+        by_bucket,
+        entries_table,
+        entry_of,
         write_snapshot_bucket,
     )
-    from virtuoso_quad_log_ray.pipelines.publish import (
-        PATCH_META_SCHEMA,
-        patch_entry,
-        write_patch_files,
-    )
+    from virtuoso_quad_log_ray.pipelines.publish import write_patch_files
     from virtuoso_quad_log_ray.stages.extract_triples import QUADS_SCHEMA
 
     maxq = cfg.max_quads_per_file
     prev_set = set(prev_buckets)
-    meta_schema = PATCH_META_SCHEMA.append(pa.field("shard", pa.bool_()))
     os.makedirs(snap_dir, exist_ok=True)
     os.makedirs(out_root, exist_ok=True)
 
-    def keyed(b: pa.Table) -> pa.Table:
-        t = b.select(QUAD_COLS).cast(QUADS_SCHEMA)
-        return t.append_column("bucket", _bucket_of(t["g"], n_buckets))
-
-    def sync_bucket(group: pa.Table) -> pa.Table:
-        bucket = int(group["bucket"][0].as_py())
+    def sync_bucket(bucket: int, new: pa.Table) -> pa.Table:
         rel = bucket_rel(bucket)
-        new = group.filter(pc.is_valid(group["g"])).select(QUAD_COLS)  # drop the marker
+        shards = []
         if len(new):
-            new = write_snapshot_bucket(new, snap_dir, rel)
+            new = write_snapshot_bucket(new, os.path.join(snap_dir, rel))
+            shards.append(FileEntry(rel, "", len(new), "", 0))
         if bucket in prev_set:
             prev = pq.read_table(os.path.join(prev_dir, rel), columns=QUAD_COLS)
             log = diff_bucket(prev.cast(QUADS_SCHEMA), new)
         else:
             log = with_op(new, "+")
         patches = write_patch_files(log, out_root, checkpoint=checkpoint, maxq=maxq)
-        meta = patches.append_column("shard", pa.array([False] * len(patches), pa.bool_()))
-        if not len(new):
-            return meta
-        shard = {"name": [rel], "graph": [""], "amount": [len(new)], "md5": [""], "length": [0]}
-        return pa.concat_tables([pa.table(shard | {"shard": [True]}, schema=meta_schema), meta])
+        flags = pa.array([True] * len(shards) + [False] * len(patches))
+        return entries_table(shards + patches).append_column("shard", flags)
 
-    ds = new_quads.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-    if prev_set:
-        ids = sorted(prev_set)
-        markers = pa.table(
-            {c: pa.nulls(len(ids), pa.string()) for c in QUAD_COLS}
-            | {"bucket": pa.array(ids, type=pa.int64())}
-        )
-        ds = ds.union(ray.data.from_arrow(markers))
-    meta = ds.groupby("bucket").map_groups(sync_bucket, batch_format="pyarrow").take_all()
-    shards = [(r["name"], int(r["amount"])) for r in meta if r["shard"]]
-    return shards, [patch_entry(r) for r in meta if not r["shard"]]
+    meta = by_bucket(
+        new_quads, "g", n_buckets, sync_bucket, schema=QUADS_SCHEMA, also=prev_set
+    ).take_all()
+    shards = [entry_of(r) for r in meta if r["shard"]]
+    return shards, [entry_of(r) for r in meta if not r["shard"]]
 
 
 def _snapshot_dump(
@@ -253,7 +236,9 @@ def _snapshot_dump(
     shards, patches = _bucket_pass(
         quad_set, snap_dir, out_root, checkpoint=TS14_ZERO, n_buckets=n_buckets, cfg=cfg
     )
-    commit_materialized(snap_dir, shards, epoch=epoch, n_buckets=n_buckets, t_run0=t_run0)
+    commit_materialized(
+        snap_dir, shards, kind="materialize", epoch=epoch, n_buckets=n_buckets, t_run0=t_run0
+    )
     commit_snapshot(snapshot_root, name)
     return commit_patch_run(
         out_root,
@@ -332,7 +317,9 @@ def _snapshot_sync(
         prev_dir=prev_dir,
         prev_buckets=tuple(bucket_id(e.name) for e in prev.files),
     )
-    commit_materialized(snap_dir, shards, epoch=epoch, n_buckets=prev.n_buckets, t_run0=t_run0)
+    commit_materialized(
+        snap_dir, shards, kind="materialize", epoch=epoch, n_buckets=prev.n_buckets, t_run0=t_run0
+    )
     manifest = commit_patch_run(
         out_root,
         patches,

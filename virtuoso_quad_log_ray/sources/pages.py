@@ -53,6 +53,8 @@ PAGES_SCHEMA = pa.schema(
         ("lang", pa.string()),
     ]
 )
+# the columns a JSONL shard carries, in line order
+JSONL_SCHEMA = PAGES_SCHEMA.remove(PAGES_SCHEMA.get_field_index("html"))
 
 # DuckDB CTE mirroring the synthesis 1:1 (documents is a pre-registered view).
 PAGES_SQL_CTE = """
@@ -271,129 +273,41 @@ def write_jsonl_corpus(
     curated LLM training corpus actually ships in (one JSON object per
     line: url, warc_ts as epoch seconds, text, lang).
 
-    Same commit/resume shape as the WARC sink (``warc.write_warc_corpus``)
-    and the patch sink (``publish.write_rdfpatch``): one bucketed
-    ``groupby(hash(url) % n_buckets).map_groups`` writes one
-    ``shard-K.jsonl`` per bucket (``.part`` + rename, rows sorted by
-    (url, warc_ts) for deterministic bytes), only file metadata returns to
-    the driver, and the manifest commits LAST so crashed runs leave no
-    visible partial output. Rendering is polars ``write_ndjson`` — one
-    vectorized Rust pass with full JSON string escaping, no per-row
-    Python. Round-trips through ``read_pages_jsonl`` (epoch-int ts path).
+    One ``shard-K.jsonl`` per bucket of ``hash(url) % n_buckets``, written
+    and committed by ``materialize.write_bucketed`` (the shared bucketed
+    sink: ``.part`` + rename, same-epoch per-bucket resume, manifest
+    committed last). Rows are sorted by (url, warc_ts) for deterministic
+    bytes. Rendering is polars ``write_ndjson`` — one vectorized Rust pass
+    with full JSON string escaping, no per-row Python. Round-trips through
+    ``read_pages_jsonl`` (epoch-int ts path).
     """
-    import hashlib
-    import io
-    import os
+    from virtuoso_quad_log_ray.pipelines.materialize import write_atomic, write_bucketed
 
-    from virtuoso_quad_log_ray.numerics import hash_fingerprint
-    from virtuoso_quad_log_ray.pipelines.materialize import (
-        _bucket_of,
-        default_n_buckets,
-    )
-    from virtuoso_quad_log_ray.state.manifest import (
-        FileEntry,
-        RunManifest,
-        commit_manifest,
-        load_manifest,
-    )
+    def write(rows: pa.Table, path: str) -> tuple[str, int]:
+        import io
+        import os
 
-    nb = n_buckets or default_n_buckets()
-    os.makedirs(out_root, exist_ok=True)
-    # same-epoch per-bucket resume (the materialize_quads protocol): a
-    # bucket already committed by a prior run of this epoch is echoed from
-    # its manifest entry instead of re-rendered — valid only while the
-    # bucket-id hash implementation is unchanged (hash_fp guard, ADVICE r2)
-    # AND the bucket count matches: default_n_buckets() is CPU-adaptive, so
-    # the same epoch on a different host re-keys rows to different buckets
-    # under colliding shard names (ADVICE r4)
-    hash_fp = hash_fingerprint()
-    prev = load_manifest(out_root)
-    done: dict = (
-        {e.name: e for e in prev.files}
-        if prev
-        and prev.epoch == epoch
-        and prev.hash_fp == hash_fp
-        and prev.n_buckets == nb
-        else {}
-    )
-
-    def keyed(b: pa.Table) -> pa.Table:
-        return b.select(["url", "warc_ts", "text", "lang"]).append_column(
-            "bucket", _bucket_of(b["url"], nb)
-        )
-
-    def write_bucket(group: pa.Table) -> pa.Table:
         os.environ.setdefault("POLARS_MAX_THREADS", "1")  # see numerics.py:74
         import polars as pl
 
-        bucket = int(group["bucket"][0].as_py())
-        rel = f"shard-{bucket:05d}.jsonl"
-        if rel in done and os.path.exists(os.path.join(out_root, rel)):
-            e = done[rel]  # committed by a prior run of this epoch: no IO
-            return pa.table(
-                {
-                    "name": pa.array([e.name], type=pa.string()),
-                    "amount": pa.array([e.amount], type=pa.int64()),
-                    "md5": pa.array([e.md5], type=pa.string()),
-                    "length": pa.array([e.length], type=pa.int64()),
-                }
-            )
-        order = pc.sort_indices(
-            group, sort_keys=[("url", "ascending"), ("warc_ts", "ascending")]
-        )
-        t = group.take(order)
-        out_t = pa.table(
-            {
-                "url": t["url"],
-                "warc_ts": pc.cast(
-                    pc.cast(t["warc_ts"], pa.timestamp("s")), pa.int64()
-                ),
-                "text": t["text"],
-                "lang": t["lang"],
-            }
-        )
+        order = pc.sort_indices(rows, sort_keys=[("url", "ascending"), ("warc_ts", "ascending")])
+        t = rows.take(order)
+        t = t.set_column(1, "warc_ts", pc.cast(t["warc_ts"], pa.int64()))
         buf = io.BytesIO()
-        pl.from_arrow(out_t).write_ndjson(buf)
-        data = buf.getvalue()
-        final = os.path.join(out_root, rel)
-        part = final + ".part"
-        with open(part, "wb") as f:
-            f.write(data)
-        os.replace(part, final)
-        return pa.table(
-            {
-                "name": pa.array([rel], type=pa.string()),
-                "amount": pa.array([len(t)], type=pa.int64()),
-                "md5": pa.array([hashlib.md5(data).hexdigest()], type=pa.string()),
-                "length": pa.array([len(data)], type=pa.int64()),
-            }
-        )
+        pl.from_arrow(t).write_ndjson(buf)
+        return write_atomic(path, buf.getvalue())
 
-    meta = (
-        pages.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(write_bucket, batch_format="pyarrow")
-        .take_all()
-    )
-    files = sorted(
-        (
-            FileEntry(r["name"], "", int(r["amount"]), r["md5"], int(r["length"]))
-            for r in meta
-        ),
-        key=lambda e: e.name,
-    )
-    manifest = RunManifest(
-        epoch=epoch,
-        checkpoint="",
+    return write_bucketed(
+        pages,
+        out_root,
+        key="url",
         kind="jsonl",
-        quad_count=sum(e.amount for e in files),
-        file_count=len(files),
-        files=files,
-        hash_fp=hash_fp,
-        n_buckets=nb,
+        epoch=epoch,
+        n_buckets=n_buckets,
+        shard=lambda bucket: f"shard-{bucket:05d}.jsonl",
+        write=write,
+        schema=JSONL_SCHEMA,
     )
-    commit_manifest(out_root, manifest)
-    return manifest
 
 
 def read_jsonl_corpus(out_root: str, *, default_lang: str = "und") -> ray.data.Dataset:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import shutil
 
-from virtuoso_quad_log_ray.state.manifest import POINTER, load_manifest
+from virtuoso_quad_log_ray.state.manifest import POINTER, load_manifest, write_durable
 
 CURSOR_FILE = "cursor.ts14"
 EPOCH_FILE = "epoch.ts14"
@@ -37,10 +37,7 @@ def read_cursor(root: str) -> str | None:
 
 def write_cursor(root: str, ts14: str) -> None:
     os.makedirs(root, exist_ok=True)
-    tmp = os.path.join(root, CURSOR_FILE + ".tmp")
-    with open(tmp, "w") as f:
-        f.write(ts14)
-    os.replace(tmp, os.path.join(root, CURSOR_FILE))
+    write_durable(os.path.join(root, CURSOR_FILE), ts14)
 
 
 def read_epoch(root: str) -> str | None:
@@ -53,10 +50,7 @@ def read_epoch(root: str) -> str | None:
 
 def write_epoch(root: str, epoch: str) -> None:
     os.makedirs(root, exist_ok=True)
-    tmp = os.path.join(root, EPOCH_FILE + ".tmp")
-    with open(tmp, "w") as f:
-        f.write(epoch)
-    os.replace(tmp, os.path.join(root, EPOCH_FILE))
+    write_durable(os.path.join(root, EPOCH_FILE), epoch)
 
 
 def is_our_file(name: str) -> bool:

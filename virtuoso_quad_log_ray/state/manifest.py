@@ -76,23 +76,25 @@ class RunManifest:
 POINTER = "MANIFEST"
 
 
+def write_durable(path: str, text: str) -> None:
+    """Replace the small state file ``path`` with ``text``: write
+    ``path.tmp``, fsync, rename. A crash leaves the old or the new
+    content, never a torn file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        f.write(text)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+
+
 def commit_manifest(root: str, manifest: RunManifest) -> str:
     """Atomically publish a manifest: temp write + rename, then pointer swap.
     Readers that load via load_manifest never observe a partial state."""
     os.makedirs(root, exist_ok=True)
     name = f"manifest-{manifest.run_index:06d}.json"
-    tmp = os.path.join(root, name + ".tmp")
-    with open(tmp, "w") as f:
-        f.write(manifest.to_json())
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(root, name))
-    ptr_tmp = os.path.join(root, POINTER + ".tmp")
-    with open(ptr_tmp, "w") as f:
-        f.write(name)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(ptr_tmp, os.path.join(root, POINTER))
+    write_durable(os.path.join(root, name), manifest.to_json())
+    write_durable(os.path.join(root, POINTER), name)
     return name
 
 
