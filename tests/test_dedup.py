@@ -415,6 +415,19 @@ class TestIncrementalBloom:
         assert b <= e and len(b) >= len(e) * 0.99
 
 
+@pytest.mark.parametrize("target_fpr", [0, 1, -0.1, 1.5])
+def test_bloom_params_rejects_fpr_outside_unit_interval(target_fpr):
+    """A false-positive rate outside (0, 1) is a caller error named as such,
+    not a math-domain error from the sizing formula."""
+    with pytest.raises(ValueError, match="target_fpr"):
+        dd.bloom_params(10_000, target_fpr)
+
+
+def test_bloom_params_valid_fpr_sizing_unchanged():
+    assert dd.bloom_params(10_000, 0.001) == (262144, 18)
+    assert dd.bloom_params(0, 0.001) == (dd.BLOOM_BITS, dd.BLOOM_K)
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestLshBucketCap:
     """VERDICT r4 #1: a mirror farm — F near-identical pages — collides in

@@ -56,6 +56,25 @@ class TestManifest:
         assert load_manifest(root) is None
 
 
+    def test_to_json_matches_asdict_and_roundtrips(self):
+        """to_json builds shallow field dicts; its bytes must equal the
+        asdict deep-copy rendering it replaced, and load back equal."""
+        import json
+        from dataclasses import asdict
+
+        files = [
+            FileEntry(f"g{i % 3}/rdf_out_20240101000000-{i:014d}", f"http://g{i % 3}",
+                      i + 1, f"{i:032x}", 100 + i)
+            for i in range(7)
+        ]
+        m = RunManifest(epoch="E1", checkpoint="20240101000000", kind="sync",
+                        quad_count=28, file_count=7, run_index=3, last_source="trx#3",
+                        total_quads=40, total_files=9, files=files, elapsed_s=0.25,
+                        quads_per_sec=112.0, hash_fp="fp", n_buckets=8)
+        assert m.to_json() == json.dumps(asdict(m), indent=1, sort_keys=True)
+        assert RunManifest.from_json(m.to_json()) == m
+
+
 class TestHandshake:
     def test_same_epoch_noop(self, tmp_path):
         root = str(tmp_path / "sink")
@@ -383,6 +402,191 @@ class TestBundleByteBound:
     def test_sitemap_item_limit_rejected(self, tmp_path):
         with pytest.raises(RuntimeError, match="50000"):
             Bundler(str(tmp_path / "s"), str(tmp_path / "p"), max_files=50_001)
+
+
+def _mk_dirs_manifest(root, counts, epoch="20240101000000"):
+    """Commit a manifest whose graph dir ``d`` holds ``counts[d]`` files."""
+    import hashlib
+
+    files = []
+    for d, n in counts.items():
+        os.makedirs(os.path.join(root, d), exist_ok=True)
+        for i in range(n):
+            rel = f"{d}/rdf_out_00000000000000-{i:014d}"
+            body = f"# at checkpoint  00000000000000\n+ <s{i}> <p> \"o\" <http://{d}> .\n"
+            with open(os.path.join(root, rel), "w") as f:
+                f.write(body)
+            files.append(FileEntry(rel, f"http://{d}", 1, hashlib.md5(body.encode()).hexdigest(),
+                                   len(body)))
+    m = RunManifest(epoch=epoch, checkpoint="00000000000000", kind="dump", files=files,
+                    quad_count=len(files), file_count=len(files))
+    commit_manifest(root, m)
+    return m
+
+
+def _stat_ids(root, rels=None):
+    """(inode, mtime_ns) per file under ``root`` (or of the given rels)."""
+    if rels is None:
+        rels = [
+            os.path.relpath(os.path.join(d, n), root)
+            for d, _, names in os.walk(root)
+            for n in names
+        ]
+    stats = {rel: os.stat(os.path.join(root, rel)) for rel in rels}
+    return {rel: (st.st_ino, st.st_mtime_ns) for rel, st in stats.items()}
+
+
+class TestWriteIfChangedMetadata:
+    """publish_metadata renders the whole doc set but writes only the docs
+    whose bytes differ from the file on disk: an unchanged doc keeps its
+    inode and mtime, so a destination polling by lastmod refetches only
+    what changed."""
+
+    def test_unchanged_state_replaces_no_file(self, tmp_path):
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        b = Bundler(src, pub, max_files=2)
+        _mk_dirs_manifest(src, {"g": 3, "h": 2})
+        b.publish()
+        docs = b.publish_metadata()
+        before = _stat_ids(pub)
+        b.publish()
+        assert b.publish_metadata() == docs  # the full current doc set
+        assert _stat_ids(pub) == before  # docs, zips and sidecars untouched
+
+    def test_only_docs_of_changed_dirs_are_replaced(self, tmp_path):
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        b = Bundler(src, pub, max_files=100)
+        _mk_dirs_manifest(src, {"g": 2, "h": 2})
+        b.publish()
+        docs = b.publish_metadata()
+        before = _stat_ids(pub, docs)
+
+        _mk_dirs_manifest(src, {"g": 3, "h": 2})  # one new file in g
+        b.publish()
+        assert b.publish_metadata() == docs
+        after = _stat_ids(pub, docs)
+        g_cap = os.path.join("g", "capability-list.xml")
+        h_cap = os.path.join("h", "capability-list.xml")
+        well_known = os.path.join(".well-known", "resourcesync")
+        assert after[g_cap] != before[g_cap]
+        assert after["capability-list.xml"] != before["capability-list.xml"]
+        assert after[h_cap] == before[h_cap]
+        assert after[well_known] == before[well_known]  # same graph dirs
+
+        _mk_dirs_manifest(src, {"g": 3, "h": 2, "k": 1})  # a new graph dir
+        b.publish()
+        docs = b.publish_metadata()
+        assert os.path.join("k", "capability-list.xml") in docs
+        final = _stat_ids(pub, docs)
+        assert final[well_known] != after[well_known]
+        assert final[h_cap] == before[h_cap]
+
+    def test_written_docs_equal_a_from_scratch_render(self, tmp_path):
+        """After a sequence of publishes (seals, end-zip swaps, a new dir, a
+        hand-edited doc and a deleted one), every doc equals what a fresh
+        publish_metadata renders from the same zips and sidecars."""
+        import shutil
+
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        b = Bundler(src, pub, max_files=2)
+        for counts in ({"g": 1}, {"g": 3}, {"g": 3, "h": 1}, {"g": 4, "h": 2}, {"g": 5, "h": 2}):
+            _mk_dirs_manifest(src, counts)
+            b.publish()
+            b.publish_metadata()
+        # a stale doc of the same size and a missing doc are repaired
+        g_cap = os.path.join(pub, "g", "capability-list.xml")
+        with open(g_cap, "rb") as f:
+            body = f.read()
+        with open(g_cap, "wb") as f:
+            f.write(body.replace(b"md5:", b"md4:", 1))
+        os.remove(os.path.join(pub, "h", "capability-list.xml"))
+        docs = b.publish_metadata()
+
+        fresh = str(tmp_path / "fresh")
+        os.makedirs(fresh)
+        for n in os.listdir(pub):
+            if n.endswith(".zip") or n.endswith(".zip.meta.json"):
+                shutil.copy2(os.path.join(pub, n), fresh)
+        assert Bundler(src, fresh, max_files=2).publish_metadata() == docs
+        for rel in docs:
+            with open(os.path.join(pub, rel), "rb") as f, open(os.path.join(fresh, rel), "rb") as g:
+                assert f.read() == g.read(), rel
+        for dirpath, _, names in os.walk(pub):
+            assert not [n for n in names if n.endswith(".part")], dirpath
+
+
+class TestZipSidecarCrashWindow:
+    """A zip becomes visible only with its complete sidecar. ``publish``
+    never rewrites a zip that exists (sealed zips are skipped, an unchanged
+    end zip too), so a zip left without its sidecar would make every later
+    ``publish_metadata`` fail."""
+
+    @staticmethod
+    def _check_sidecars(pub):
+        import hashlib
+        import json
+
+        zips = [n for n in os.listdir(pub) if n.endswith(".zip")]
+        assert zips
+        for n in zips:
+            with open(os.path.join(pub, n), "rb") as f:
+                data = f.read()
+            with open(os.path.join(pub, n + ".meta.json")) as f:
+                meta = json.load(f)
+            assert (meta["md5"], meta["length"]) == (hashlib.md5(data).hexdigest(), len(data)), n
+
+    def test_failure_at_each_write_step_recovers_on_retry(self, tmp_path, monkeypatch):
+        import builtins
+        import zipfile
+
+        src = str(tmp_path / "src")
+        _mk_manifest(src, 5)  # max_files=2: two sealed zips + one end zip
+        real = {
+            "open": builtins.open,
+            "replace": os.replace,
+            "write": zipfile.ZipFile.write,
+            "writestr": zipfile.ZipFile.writestr,
+        }
+
+        def writes(file, mode="r", *a, **k):
+            return any(c in mode for c in "wax+")
+
+        step = 0
+        while True:
+            pub = str(tmp_path / f"pub{step}")
+            b = Bundler(src, pub, max_files=2)
+            seen = [0]
+
+            def failing(fn, counts=lambda *a, **k: True):
+                def wrapped(*a, **k):
+                    if counts(*a, **k):
+                        seen[0] += 1
+                        if seen[0] == step + 1:
+                            raise OSError(f"simulated crash at write step {step}")
+                    return fn(*a, **k)
+
+                return wrapped
+
+            monkeypatch.setattr(builtins, "open", failing(real["open"], writes))
+            monkeypatch.setattr(os, "replace", failing(real["replace"]))
+            monkeypatch.setattr(zipfile.ZipFile, "write", failing(real["write"]))
+            monkeypatch.setattr(zipfile.ZipFile, "writestr", failing(real["writestr"]))
+            try:
+                b.publish()
+                crashed = False
+            except OSError as e:
+                assert "simulated" in str(e)
+                crashed = True
+            finally:
+                monkeypatch.undo()
+            st = b.publish()
+            assert (st.def_count, st.end_count) == (2, 1), step
+            b.publish_metadata()
+            self._check_sidecars(pub)
+            if not crashed:
+                break
+            step += 1
+        assert step >= 3 * 3  # every zip's content, sidecar and rename steps
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -29,8 +29,12 @@ Driver plane (metadata-sized): ``Bundler`` reproduces the resourcesync
 zip state machine (zipsynchronizer.py:111-173): full chunks seal into
 immutable ``part_def_N.zip``; the remainder is a provisional
 ``part_end_N.zip`` replaced on the next run; unchanged remainder skips
-re-publish (is_same, zipsynchronizer.py:149); sitemap-style metadata is a
-JSON/XML doc per bundle.
+re-publish (is_same, zipsynchronizer.py:149); each zip's JSON sidecar is
+written before the zip becomes visible. The ResourceSync XML docs
+(resource dump, capability lists, source description) are rendered whole
+from the sidecars and the source manifest each run, but a doc is written
+only when its bytes differ from the file on disk, so a publish round
+rewrites only what changed.
 """
 
 from __future__ import annotations
@@ -448,7 +452,13 @@ class Bundler:
         """Bundle + embedded manifest + sidecar metadata (resource-dump.xml /
         capability-list.xml analog, zipsynchronizer.py:175-232). The sidecar
         records per-resource lastmod and the zip's max lastmod (the
-        reference's ResourceList lastmod, synchronizer.py:100-114)."""
+        reference's ResourceList lastmod, synchronizer.py:100-114).
+
+        The sidecar is written whole (``write_atomic``) from the staged
+        ``.part`` zip BEFORE the zip is renamed into place: a later
+        ``publish`` never rewrites a zip that exists (sealed ones are
+        skipped, an unchanged end zip too), so a zip must never be visible
+        without its complete sidecar."""
         import json
 
         final = os.path.join(self.publish_root, zip_name)
@@ -460,21 +470,20 @@ class Bundler:
                 z.write(src, arcname=rel)
                 listing.append(rel)
             z.writestr("manifest.json", json.dumps({"resources": listing}, indent=1))
-        os.replace(part, final)
-        with open(final, "rb") as f:
-            digest = hashlib.md5(f.read()).hexdigest()
+        with open(part, "rb") as f:
+            zip_bytes = f.read()
         lastmods = {rel: self._lastmod_of(rel) for rel in file_names}
         known = [v for v in lastmods.values() if v]
         meta = {
             "zip": zip_name,
-            "md5": digest,
-            "length": os.path.getsize(final),
+            "md5": hashlib.md5(zip_bytes).hexdigest(),
+            "length": len(zip_bytes),
             "resources": file_names,
             "resource_lastmod": lastmods,
             "lastmod": max(known) if known else None,
         }
-        with open(final + ".meta.json", "w") as f:
-            json.dump(meta, f, indent=1)
+        write_atomic(final + ".meta.json", json.dumps(meta, indent=1).encode("utf-8"))
+        os.replace(part, final)
 
     def _zip_contents(self, zip_name: str) -> list[str]:
         with zipfile.ZipFile(os.path.join(self.publish_root, zip_name)) as z:
@@ -493,10 +502,14 @@ class Bundler:
         top-level one, and ``.well-known/resourcesync`` (source
         description) registering every capability list — the reference
         registers one per graph subdir (syncdirector.py:106-121,139-142).
-        Driver-side pure metadata, rewritten whole each run as a
-        TRANSACTIONAL SET: all docs staged to ``.part`` then promoted
-        together (the reference rewrites and rolls back these files as a
-        unit, zipsynchronizer.py:69-109)."""
+        Driver-side pure metadata, rendered whole each run and written only
+        where the bytes changed: a doc equal to the file already at its
+        path keeps that file (inode and mtime), so a destination polling
+        by lastmod refetches only what changed. The changed docs form a
+        TRANSACTIONAL SET: all staged to ``.part`` then promoted together
+        (the reference rewrites and rolls back these files as a unit,
+        zipsynchronizer.py:69-109). Returns the full current doc set,
+        written or kept."""
         import json
         from xml.sax.saxutils import escape as x
 
@@ -601,25 +614,40 @@ class Bundler:
         ]
         docs.append((os.path.join(".well-known", "resourcesync"), src_xml))
         # Transactional set (VERDICT r2 #6, reference purges the XML set as a
-        # unit, zipsynchronizer.py:69-109): write EVERY doc to a .part first,
-        # then promote all with atomic renames — an exception while writing
-        # leaves only .part litter and the previous doc set fully intact.
+        # unit, zipsynchronizer.py:69-109): write every changed doc to a
+        # .part first, then promote them all with atomic renames — an
+        # exception while writing leaves only .part litter and the previous
+        # doc set fully intact. The on-disk doc is the state: one holding
+        # exactly these bytes is kept, a missing or stale one is rewritten.
         staged: list[tuple[str, str]] = []
         try:
             for rel, body in docs:
                 path = os.path.join(self.publish_root, rel)
                 os.makedirs(os.path.dirname(path) or self.publish_root, exist_ok=True)
+                data = body.encode("utf-8")
+                if _holds(path, data):
+                    continue
                 tmp = path + ".part"
-                with open(tmp, "w") as f:
-                    f.write(body)
+                with open(tmp, "wb") as f:
+                    f.write(data)
                 staged.append((tmp, path))
         except Exception:
             for tmp, _ in staged:
                 if os.path.exists(tmp):
                     os.remove(tmp)
             raise
-        written = []
         for tmp, path in staged:
             os.replace(tmp, path)
-            written.append(os.path.relpath(path, self.publish_root))
-        return written
+        return [rel for rel, _ in docs]
+
+
+def _holds(path: str, data: bytes) -> bool:
+    """Whether the file at ``path`` already holds exactly ``data`` (a
+    missing file or one of another size is never read)."""
+    try:
+        if os.path.getsize(path) != len(data):
+            return False
+        with open(path, "rb") as f:
+            return f.read() == data
+    except FileNotFoundError:
+        return False

@@ -1231,9 +1231,12 @@ def bloom_params(expected_keys: int, target_fpr: float) -> tuple[int, int]:
     """Optimal (bits, k) for a Bloom filter at ``expected_keys`` distinct
     fingerprints and ``target_fpr``: m = -n*ln(p)/ln(2)^2 rounded up to a
     power of two (byte-aligned bitmap, cheap modulo), k = round(m/n*ln 2).
-    Feed the result to ``dedup_incremental_bloom(bits=..., k=...)``."""
+    Feed the result to ``dedup_incremental_bloom(bits=..., k=...)``.
+    Raises ``ValueError`` unless ``0 < target_fpr < 1``."""
     import math
 
+    if not 0 < target_fpr < 1:
+        raise ValueError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
     if expected_keys <= 0:
         return BLOOM_BITS, BLOOM_K
     m = -expected_keys * math.log(target_fpr) / (math.log(2) ** 2)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -64,7 +64,12 @@ class RunManifest:
     n_buckets: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1, sort_keys=True)
+        # Shallow field dicts instead of asdict's recursive deep copy: the
+        # manifest lists every file since the dump and every run commits
+        # it. Same bytes as json.dumps(asdict(self), indent=1, sort_keys=True).
+        d = dict(vars(self))
+        d["files"] = [vars(f) for f in self.files]
+        return json.dumps(d, indent=1, sort_keys=True)
 
     @staticmethod
     def from_json(s: str) -> "RunManifest":
