@@ -102,6 +102,7 @@ def test_empty_corpus_round4_operators(empty_sf):
         "entity_cooccur": kg.entity_cooccur(empty_sf),
         "entity_pagerank": kg.entity_pagerank(empty_sf),
         "state_replay": cl.replay_state(empty_sf),
+        "changelog": cl.changelog(empty_sf),
         "dedup_incremental": dd.dedup_incremental(empty_sf),
         "heavy_hitters": sk.heavy_hitters(empty_sf),
         "shuffle_shards": tx.shuffle_shards(empty_sf),

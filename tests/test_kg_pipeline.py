@@ -89,6 +89,14 @@ class TestChangelogProperties:
 
         assert key_set(applied) == key_set(v2)
 
+    def test_apply_changelog_keys_on_quad_columns(self):
+        """A '-' record retracts only the quad equal on all four columns,
+        not another quad whose columns join to the same U+001F-packed
+        string (ADVICE r1 packed-key hazard)."""
+        prev = pa.table({"s": ["a\x1fb"], "p": ["c"], "o": ["o"], "g": ["g"]})
+        log = pa.table({"op": ["-"], "s": ["a"], "p": ["b\x1fc"], "o": ["o"], "g": ["g"]})
+        assert cl.apply_changelog(prev, log).to_pylist() == prev.to_pylist()
+
     def test_changelog_empty_on_identical_snapshots(self):
         v1 = cl.quads_version(SF_SMALL, 1)
         v1b = cl.quads_version(SF_SMALL, 1)

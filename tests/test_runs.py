@@ -606,34 +606,96 @@ def _kill_sid(sid: int) -> None:
             continue
 
 
-def test_snapshot_runs_finish_at_one_cpu(tmp_path):
-    """A snapshot-backed dump + two syncs must finish on a 1-CPU Ray
-    cluster. A shuffle join there needs two 0.5-CPU aggregator actors that
-    hold the only CPU, so the join-based sync hung forever; the bucket
-    pass starts no aggregators. Runs in a fresh process (its own Ray
-    cluster) under a timeout that kills every process the child started."""
+def _run_at_one_cpu(script: str, work, what: str, timeout: float = 240) -> tuple[str, str]:
+    """Run ``script`` (which starts its own 1-CPU Ray cluster) in a fresh
+    process with ``work`` as its argument, under a timeout that kills every
+    process the child started. Returns ``(stdout, report)``: ``report`` is
+    stdout plus the tail of the child's stderr, for failure messages."""
     import subprocess
     import sys
 
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=repo)
     child = subprocess.Popen(
-        [sys.executable, "-c", ONE_CPU_SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", script, str(work)],
         cwd=repo,
         env=env,
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
         text=True,
         start_new_session=True,
     )
+
+    def report(out: str, err: str) -> str:
+        return f"stdout:\n{out}\nstderr (tail):\n{err[-4000:]}"
+
     try:
-        out, _ = child.communicate(timeout=240)
+        out, err = child.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         _kill_sid(child.pid)
-        child.communicate()
-        pytest.fail("snapshot-backed runs hung at num_cpus=1")
+        out, err = child.communicate()
+        pytest.fail(f"{what} hung at num_cpus=1\n{report(out, err)}")
     finally:
         _kill_sid(child.pid)  # Ray processes the child left behind
-    assert child.returncode == 0, out
+    assert child.returncode == 0, report(out, err)
+    return out, report(out, err)
+
+
+def test_snapshot_runs_finish_at_one_cpu(tmp_path):
+    """A snapshot-backed dump + two syncs must finish on a 1-CPU Ray
+    cluster. A shuffle join there needs two 0.5-CPU aggregator actors that
+    hold the only CPU, so the join-based sync hung forever; the bucket
+    pass starts no aggregators."""
+    out, report = _run_at_one_cpu(ONE_CPU_SCRIPT, tmp_path, "snapshot-backed runs")
     result = [line.split() for line in out.splitlines() if line.startswith("RESULT")]
-    assert result and int(result[0][1]) > 0 and int(result[0][2]) == 0, out
+    assert result and int(result[0][1]) > 0 and int(result[0][2]) == 0, report
+
+
+ONE_CPU_RECOMPUTE_SCRIPT = """
+import os, sys
+import ray, ray.data
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR",
+         log_to_driver=False)
+ray.data.DataContext.get_current().enable_progress_bars = False
+from tests.conftest import SF_SMALL
+from virtuoso_quad_log_ray.pipelines import changelog as cl
+from virtuoso_quad_log_ray.pipelines import relational as rel
+from virtuoso_quad_log_ray.pipelines import runs
+
+print("changelog", cl.changelog(SF_SMALL).count(), flush=True)
+print("replay_state", cl.replay_state(SF_SMALL).count(), flush=True)
+sink = os.path.join(sys.argv[1], "sink")
+runs.run_dump(SF_SMALL, sink, epoch="E1")
+print("run_sync", runs.run_sync(SF_SMALL, sink, checkpoint="20240101010101").quad_count, flush=True)
+print("customers_no_urgent_orders", rel.customers_no_urgent_orders(SF_SMALL).count(), flush=True)
+ray.shutdown()
+"""
+
+
+def test_recompute_paths_finish_at_one_cpu(tmp_path, oracle):
+    """The recompute changelog (``changelog``, ``replay_state``, a plain
+    ``run_dump`` + ``run_sync``) and a relational ``left_anti`` join must
+    finish on a 1-CPU Ray cluster with oracle-equal row counts: the
+    changelog forms run on the shared bucket shuffle, and join
+    aggregators request no CPU when there is only one."""
+    from virtuoso_quad_log_ray.pipelines import changelog as cl
+    from virtuoso_quad_log_ray.pipelines import relational as rel
+
+    def n(sql: str) -> int:
+        return oracle.sql(f"SELECT count(*) FROM ({sql})").fetchone()[0]
+
+    n_log = n(cl.changelog_sql())
+    want = {
+        "changelog": n_log,
+        "replay_state": n(cl.replay_state_sql()),
+        "run_sync": n_log,
+        "customers_no_urgent_orders": n(rel.CUSTOMERS_NO_URGENT_SQL),
+    }
+    out, report = _run_at_one_cpu(ONE_CPU_RECOMPUTE_SCRIPT, tmp_path, "recompute paths")
+    got = {}
+    for line in out.splitlines():
+        step, _, value = line.partition(" ")
+        if step in want:
+            got[step] = int(value)
+    assert got == want, report

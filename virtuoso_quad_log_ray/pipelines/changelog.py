@@ -8,19 +8,20 @@ prior checkpoint and the quad set now,
     added   = new  LEFT-ANTI prev   -> op '+'
     deleted = prev LEFT-ANTI new    -> op '-'
 
-on the multi-column quad key (s,p,o,g). Two forms compute it:
+on the multi-column quad key (s,p,o,g). Both directions are local Arrow
+hash joins over ONE bucket (``diff_bucket``): prior and new quads are
+keyed by the same ``hash(g) % n_buckets``, so every quad of a graph meets
+its counterpart in the same bucket task and the diff needs no join
+exchange. Work per bucket is bounded by that bucket, not by the corpus.
+Two callers feed the buckets:
 
-* ``diff_bucket`` — the snapshot-backed sync (pipelines/runs.py). The
-  stored snapshot, the new snapshot and the patch sink share one
-  partitioning, ``hash(g) % n_buckets``, so the diff needs no exchange:
-  inside the ONE ``groupby(bucket)`` task that writes the new snapshot's
-  shard, the prior snapshot's shard for the same bucket is read straight
-  from disk and both anti-join directions run as local Arrow hash joins.
-  Work per bucket is bounded by that bucket, not by the corpus.
-* ``diff_quads`` — the recompute path and the oracle diff: ONE
-  ``full_outer`` Ray Data hash-shuffle join of two arbitrary quad Datasets
-  (no shared partitioning assumed), with both directions falling out of
-  presence markers.
+* the snapshot-backed sync (pipelines/runs.py): inside the ONE
+  ``groupby(bucket)`` task that writes the new snapshot's shard, the prior
+  snapshot's shard for the same bucket is read straight from disk;
+* ``diff_quads`` and ``replay_state``: two arbitrary quad Datasets are
+  tagged with a ``side`` column, unioned and keyed in one
+  ``materialize.by_bucket`` shuffle (``_paired``), the co-partitioning
+  that turns a shuffle join into local per-partition joins.
 
 Ordering within a patch file is (warc-ts-free) deterministic: ('-' before
 '+', then s, p, o, g), mirroring retract-then-assert RDF-patch application
@@ -44,9 +45,8 @@ import ray.data
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.pipelines.kg import QUADS_SQL_CTE
-from virtuoso_quad_log_ray.stages.shuffle import join_kwargs
 from virtuoso_quad_log_ray.sources.pages import PAGES_SQL_CTE, pa_mod
-from virtuoso_quad_log_ray.stages.extract_triples import extract_triples
+from virtuoso_quad_log_ray.stages.extract_triples import QUADS_SCHEMA, extract_triples
 
 # v1: docs with doc_id % 13 == 3 not yet crawled.
 # v2: docs with doc_id % 17 == 5 dropped; doc_id % 10 == 0 re-crawled with
@@ -102,12 +102,39 @@ def with_op(quads: pa.Table, op: str) -> pa.Table:
 
 def diff_bucket(prev: pa.Table, new: pa.Table) -> pa.Table:
     """Changelog (op, s, p, o, g) of ONE bucket whose prior and new quads
-    were keyed by the same ``hash(g) % n_buckets`` — the exchange-free
-    form of :func:`diff_quads` (see the module docstring). Duplicate rows
-    survive like in the ``full_outer`` form; null keys never match."""
+    were keyed by the same ``hash(g) % n_buckets`` (see the module
+    docstring). Duplicate rows survive (bag semantics: a quad held twice
+    on one side and absent on the other is emitted twice); null keys
+    never match."""
     added = new.join(prev, keys=QUAD_COLS, join_type="left anti")
     deleted = prev.join(new, keys=QUAD_COLS, join_type="left anti")
     return pa.concat_tables([with_op(deleted, "-"), with_op(added, "+")])
+
+
+_PAIRED_SCHEMA = QUADS_SCHEMA.append(pa.field("side", pa.int8()))
+
+
+def _paired(prev: ray.data.Dataset, new: ray.data.Dataset, fn) -> ray.data.Dataset:
+    """Co-partition two quad Datasets by graph and run ``fn(prev_rows,
+    new_rows)`` (two (s, p, o, g) tables) once per bucket: each side is
+    tagged with an int8 ``side`` (0 = prev, 1 = new), the two are unioned
+    and keyed in ONE ``by_bucket`` shuffle — no join aggregators, so it
+    runs on a 1-CPU cluster. An empty input yields an empty Dataset."""
+    from virtuoso_quad_log_ray.pipelines.materialize import by_bucket, default_n_buckets
+
+    def tagged(ds: ray.data.Dataset, side: int) -> ray.data.Dataset:
+        def tag(b: pa.Table) -> pa.Table:
+            return b.append_column("side", pa.array(np.full(len(b), side, dtype=np.int8)))
+
+        return ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+
+    def run(bucket: int, rows: pa.Table) -> pa.Table:
+        is_new = pc.equal(rows["side"], 1)
+        quads = rows.select(QUAD_COLS)
+        return fn(quads.filter(pc.invert(is_new)), quads.filter(is_new))
+
+    both = tagged(prev, 0).union(tagged(new, 1))
+    return by_bucket(both, "g", default_n_buckets(), run, schema=_PAIRED_SCHEMA)
 
 
 def diff_quads(
@@ -115,76 +142,15 @@ def diff_quads(
     new: ray.data.Dataset,
     cfg: EngineConfig = DEFAULT_CONFIG,
 ) -> ray.data.Dataset:
-    """(prev, new) quad sets -> changelog (op, s, p, o, g).
-
-    ONE full_outer hash-shuffle join on the (s,p,o,g) multi-column key with
-    presence markers on each side — both anti-join directions fall out of a
-    single shuffle (rows missing on the right are '+', missing on the left
-    are '-'). The partition count is sized to
-    the live cluster: each join partition is a 1-CPU aggregator actor, so
-    asking for more partitions than cores deadlocks a small cluster and
-    oversubscribes a big one.
-    """
-
-    def keyed(marker: str):
-        def fn(b: pa.Table) -> pa.Table:
-            # multi-column join key (s,p,o,g) — never a packed separator key:
-            # U+001F survives the escape chain, so packing would corrupt
-            # literals containing it (ADVICE r1, kg.py quad_key finding)
-            return pa.table(
-                {
-                    "s": b["s"],
-                    "p": b["p"],
-                    "o": b["o"],
-                    "g": b["g"],
-                    marker: pa.array(np.ones(len(b), dtype=np.int8)),
-                }
-            )
-
-        return fn
-
-    new_k = new.map_batches(keyed("in_new"), batch_format="pyarrow", zero_copy_batch=True)
-    prev_k = prev.map_batches(keyed("in_prev"), batch_format="pyarrow", zero_copy_batch=True)
-    joined = new_k.join(
-        prev_k, join_type="full_outer", on=("s", "p", "o", "g"), **join_kwargs(cfg)
-    )
-
-    def to_changelog(batch: pa.Table) -> pa.Table:
-        added = pc.is_null(batch["in_prev"])
-        deleted = pc.is_null(batch["in_new"])
-        changed = batch.filter(pc.or_(added, deleted))
-        op = pc.if_else(
-            pc.is_null(changed["in_prev"]),
-            pa.scalar("+", type=pa.string()),
-            pa.scalar("-", type=pa.string()),
-        )
-        return pa.table(
-            {
-                "op": op,
-                "s": changed["s"],
-                "p": changed["p"],
-                "o": changed["o"],
-                "g": changed["g"],
-            }
-        )
-
-    return joined.map_batches(to_changelog, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _empty_quads(with_op: bool = False) -> ray.data.Dataset:
-    cols: dict = {"op": pa.array([], type=pa.string())} if with_op else {}
-    cols.update({c: pa.array([], type=pa.string()) for c in ("s", "p", "o", "g")})
-    return ray.data.from_arrow(pa.table(cols))
+    """(prev, new) quad sets -> changelog (op, s, p, o, g): ``diff_bucket``
+    per graph bucket of one shared shuffle (:func:`_paired`). ``cfg`` is
+    accepted for call-site compatibility; the bucket count follows the
+    live cluster (``materialize.default_n_buckets``)."""
+    return _paired(prev, new, diff_bucket)
 
 
 def changelog(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.Dataset:
     """The v1 -> v2 changelog over the deterministic snapshot pair."""
-    from virtuoso_quad_log_ray.sources.pages import corpus_num_rows
-
-    if corpus_num_rows(sf_dir) == 0:
-        # footer-metadata probe (no extra pipeline pass): Ray's hash join
-        # cannot resolve key fields over a fully empty, schemaless input
-        return _empty_quads(with_op=True)
     return diff_quads(quads_version(sf_dir, 1, cfg), quads_version(sf_dir, 2, cfg), cfg)
 
 
@@ -209,16 +175,15 @@ def changelog_stats_sql() -> str:
 
 
 def apply_changelog(prev: pa.Table, log: pa.Table) -> pa.Table:
-    """RDF-patch application semantics (retract then assert) for property
-    tests: apply(quads_v1, changelog) == quads_v2 as sets (FIXTURES.md F7)."""
-    def keys(t: pa.Table) -> pa.Array:
-        return pc.binary_join_element_wise(t["s"], t["p"], t["o"], t["g"], "\x1f")
-
-    minus = log.filter(pc.equal(log["op"], "-"))
-    plus = log.filter(pc.equal(log["op"], "+"))
-    retained = prev.filter(pc.invert(pc.is_in(keys(prev), value_set=keys(minus).combine_chunks())))
-    added = plus.select(["s", "p", "o", "g"])
-    return pa.concat_tables([retained.select(["s", "p", "o", "g"]), added])
+    """RDF-patch application semantics (retract then assert):
+    apply(quads_v1, changelog) == quads_v2 as sets (FIXTURES.md F7).
+    Retraction is an Arrow left-anti join on the four quad columns — never
+    a packed separator key, which would let a '-' record retract a
+    different quad whose columns concatenate to the same string."""
+    minus = log.filter(pc.equal(log["op"], "-")).select(QUAD_COLS)
+    plus = log.filter(pc.equal(log["op"], "+")).select(QUAD_COLS)
+    retained = prev.select(QUAD_COLS).join(minus, keys=QUAD_COLS, join_type="left anti")
+    return pa.concat_tables([retained, plus])
 
 
 def replay_state(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.Dataset:
@@ -227,44 +192,22 @@ def replay_state(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.Da
     The reference's patch files exist so a downstream quad store can replay
     them (+/- retract-then-assert, MOTIVATION.md:40-71; the sample consumer
     applies rdfpatch files in checkpoint order). This is that application
-    run as a Dataset pipeline over the corpus-sized prior snapshot:
+    run over the corpus-sized prior snapshot v1: per graph bucket of ONE
+    shared shuffle (:func:`_paired`), the bucket's changelog is derived
+    (``diff_bucket``) and applied to the bucket's v1 quads
+    (``apply_changelog``). v1 is extracted once and shuffled once; the
+    changelog never leaves its bucket task.
 
-        retained = snapshot_v1  LEFT-ANTI  deletes('-')   # one hash join on
-                                                          # the (s,p,o,g) key
-        replayed = retained  UNION  inserts('+')
-
-    and the correctness contract is the strongest one available: the oracle
-    recomputes snapshot v2 by FRESH extraction, so replay(v1, log) must equal
-    re-crawl-and-re-extract row for row (FIXTURES.md F7 closure property —
-    the driver-side pa.Table twin is ``apply_changelog`` above).
-
-    Scale shape: the snapshot is corpus-sized but streams through the anti
-    join's hash exchange; the changelog is delta-sized, so it is pinned once
-    (``self_join_input``) and feeds both the retract and assert branches —
-    at 100 TB the production form checkpoints the patch run to Parquet (the
-    publish sink already does) and reads it twice, never re-deriving it.
+    The correctness contract is the strongest one available: the oracle
+    recomputes snapshot v2 by FRESH extraction, so replay(v1, log) must
+    equal re-crawl-and-re-extract row for row (FIXTURES.md F7 closure
+    property).
     """
-    from virtuoso_quad_log_ray.sources.pages import corpus_num_rows
-    from virtuoso_quad_log_ray.stages.shuffle import self_join_input
-
-    if corpus_num_rows(sf_dir) == 0:  # see changelog(): empty-join guard
-        return _empty_quads()
-
-    prev = quads_version(sf_dir, 1, cfg)
-    log = self_join_input(changelog(sf_dir, cfg))
-
-    def only(opch: str):
-        def fn(b: pa.Table) -> pa.Table:
-            return b.filter(pc.equal(b["op"], opch)).select(["s", "p", "o", "g"])
-
-        return fn
-
-    deletes = log.map_batches(only("-"), batch_format="pyarrow", zero_copy_batch=True)
-    inserts = log.map_batches(only("+"), batch_format="pyarrow", zero_copy_batch=True)
-    retained = prev.join(
-        deletes, join_type="left_anti", on=("s", "p", "o", "g"), **join_kwargs(cfg)
+    return _paired(
+        quads_version(sf_dir, 1, cfg),
+        quads_version(sf_dir, 2, cfg),
+        lambda prev, new: apply_changelog(prev, diff_bucket(prev, new)),
     )
-    return retained.union(inserts)
 
 
 def replay_state_sql() -> str:

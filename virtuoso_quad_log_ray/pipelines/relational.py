@@ -921,8 +921,9 @@ def customers_no_urgent_orders(
 ) -> ray.data.Dataset:
     """Customers with NO 1-URGENT order — the anti-join half of the
     changelog's state diff (J1: deletions = prior keys absent from the new
-    state, pipelines/changelog.py runs it as one full_outer join) expressed
-    through Ray's native ``left_anti`` hash join, keyed on the int custkey.
+    state, which pipelines/changelog.py takes per graph bucket with Arrow)
+    expressed through Ray's native ``left_anti`` hash join, keyed on the
+    int custkey.
     The probe side is pruned at the read (priority predicate pushed into the
     Parquet scan) and ships only the key column."""
     from virtuoso_quad_log_ray.stages.shuffle import join_kwargs

@@ -28,8 +28,10 @@ manifest, patch manifest, cursor, SNAPSHOT pointer (a dump, which no
 older snapshot depends on, swings the pointer before its patch manifest).
 No join aggregators, no second read of either snapshot, no second
 shuffle. Without a ``snapshot_root`` ``run_dump``/``run_sync`` recompute
-both crawl states and diff them with ``changelog.diff_quads`` (a Ray hash
-join) before ``write_rdfpatch``.
+both crawl states and diff them with ``changelog.diff_quads`` (the same
+per-bucket ``diff_bucket`` over one shuffle of both states) before
+``write_rdfpatch``; that plain sink is the reference the snapshot-backed
+sinks are tested against.
 
 State layout under ``out_root`` (all via state/manifest + state/checkpoint):
   MANIFEST + manifest-*.json   committed files + counters (A1/A3)

@@ -8,10 +8,13 @@ logical CPU each). Two failure modes if sized naively:
   * partitions << cores      -> the join is under-parallelized at scale.
 
 Policy: partitions = min(configured cap, live cluster CPUs / 2), floor 2,
-and aggregators request 0.5 CPU so upstream map/read tasks can always make
-progress alongside a full aggregator fleet. On a 256-node cluster the cap
-(EngineConfig.num_shuffle_partitions) dominates; in the sandbox the CPU
-count does.
+and the aggregator fleet together requests at most CPUs - 1 (each
+aggregator min(0.5, (CPUs - 1) / partitions)), so upstream map/read tasks
+always keep a whole core to make progress on. From 2 CPUs up that is 0.5
+per aggregator; on a 1-CPU cluster the aggregators request 0 CPU, where
+the 2-partition floor at 0.5 each would hold the only core and hang the
+join. On a 256-node cluster the cap (EngineConfig.num_shuffle_partitions)
+dominates; on a small host the CPU count does.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def join_kwargs(cfg: EngineConfig = DEFAULT_CONFIG, *, small: bool = False) -> d
     parts = max(2, join_partitions(cfg) // 4) if small else join_partitions(cfg)
     return {
         "num_partitions": parts,
-        "aggregator_ray_remote_args": {"num_cpus": 0.5},
+        "aggregator_ray_remote_args": {"num_cpus": min(0.5, max(0, cluster_cpus() - 1) / parts)},
     }
 
 
