@@ -124,6 +124,73 @@ class TestRuns:
         assert p_files == s_files and p_files
         assert s1.elapsed_s > 0 and s1.quads_per_sec >= 0
 
+        # a re-dump after a sync is a no-op: it returns the sync's manifest
+        # and rewinds neither cursor, epoch, snapshot nor manifest pointer
+        state = self._sink_state(snap, snaps)
+        again = runs.run_dump(SF_SMALL, snap, epoch="E2", snapshot_root=snaps)
+        assert (again.kind, again.checkpoint) == ("sync", "20240101010101")
+        assert again.files == s1.files
+        assert self._sink_state(snap, snaps) == state
+
+    @staticmethod
+    def _sink_state(sink, snaps):
+        """cursor, epoch, SNAPSHOT and MANIFEST pointers of a sink."""
+        from virtuoso_quad_log_ray.state.manifest import POINTER
+
+        with open(os.path.join(sink, POINTER)) as f:
+            pointer = f.read().strip()
+        return (
+            ckpt.read_cursor(sink),
+            ckpt.read_epoch(sink),
+            runs.current_snapshot(snaps),
+            pointer,
+        )
+
+    def test_pointer_swing_crash_publishes_no_duplicates(self, tmp_path, monkeypatch):
+        """A crash after the cursor write but before the SNAPSHOT pointer
+        swing: the next run repairs the pointer from the committed patch
+        manifest, so a later sync over the same state publishes nothing,
+        where diffing the stale snapshot re-published the whole delta. A
+        dump commits in the same order: a crash at its pointer swing leaves
+        a committed dump, which the next run_dump repairs and returns."""
+        sink, snaps = str(tmp_path / "sink"), str(tmp_path / "snapshots")
+        real = runs.commit_snapshot
+        crash = {"at-" + TS14_ZERO, "at-20240101010101"}
+
+        def crashing_commit(root, name):
+            if name in crash:
+                crash.discard(name)
+                raise RuntimeError(f"simulated crash before swinging to {name}")
+            return real(root, name)
+
+        monkeypatch.setattr(runs, "commit_snapshot", crashing_commit)
+
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            runs.run_dump(SF_SMALL, sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+        dumped = load_manifest(sink)
+        assert dumped is not None and dumped.kind == "dump"  # committed before the swing
+        assert runs.current_snapshot(snaps) is None
+        m0 = runs.run_dump(SF_SMALL, sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+        assert m0.files == dumped.files
+        assert runs.current_snapshot(snaps) == "at-" + TS14_ZERO
+        assert ckpt.read_cursor(sink) == TS14_ZERO and ckpt.read_epoch(sink) == "E1"
+
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            runs.run_sync(
+                SF_SMALL, sink, checkpoint="20240101010101", cfg=CFG, snapshot_root=snaps
+            )
+        assert ckpt.read_cursor(sink) == "20240101010101"
+        assert runs.current_snapshot(snaps) == "at-" + TS14_ZERO  # swing lost
+
+        # same v2 state at a later checkpoint: no change to publish
+        m2 = runs.run_sync(
+            SF_SMALL, sink, checkpoint="20240101010102", cfg=CFG,
+            prev_version=2, snapshot_root=snaps,
+        )
+        assert m2.quad_count == 0
+        assert runs.current_snapshot(snaps) == "at-20240101010102"
+        assert ckpt.read_cursor(sink) == "20240101010102"
+
     def test_sync_crash_before_patch_commit_replays_full_delta(
         self, tmp_path, monkeypatch
     ):

@@ -32,10 +32,6 @@ class EngineConfig:
     pages_batch_size: int | None = None
     quads_batch_size: int | None = None
 
-    # Max patch files per published bundle.
-    # Reference: MAX_FILES_COMPRESSED <= 50000 (synchronizer.py:61-64).
-    max_files_per_bundle: int = 50_000
-
     # Near-dup thresholds (north_star: MinHash-LSH canonicalization).
     minhash_num_perm: int = 64
     minhash_bands: int = 16  # 16 bands x 4 rows: recall ~1 for J >= 0.9
@@ -51,8 +47,6 @@ class EngineConfig:
     #     (dedup.ngram_jaccard_pairs max_shingle_freq);
     #   - partition fan-out is bounded by hash-bucketing, not per-key dirs
     #     (pipelines/materialize.py).
-    # Default document-frequency cap used when a caller opts in.
-    default_max_shingle_freq: int = 1000
 
     # MinHash-LSH band-bucket member cap (VERDICT r4 #1). A cluster of F
     # near-identical pages (mirror farms, boilerplate) collides in EVERY

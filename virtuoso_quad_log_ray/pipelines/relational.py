@@ -22,14 +22,6 @@ from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.numerics import half_away_int64, scaled_int_array
 
 
-def _join_parts(cfg: EngineConfig = DEFAULT_CONFIG) -> int:
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(2, min(cfg.num_shuffle_partitions, cpus // 2))
-
-
 # --- Q1-style scan + groupby aggregate (A1 counters analog) ---------------
 
 def pricing_summary(sf_dir: str) -> ray.data.Dataset:
@@ -337,11 +329,9 @@ def latest_event_per_user(sf_dir: str) -> ray.data.Dataset:
 
 
 def _merge_buckets() -> int:
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(8, cpus * 2)
+    from virtuoso_quad_log_ray.stages.shuffle import cluster_cpus
+
+    return max(8, cluster_cpus() * 2)
 
 
 LATEST_EVENT_SQL = """

@@ -1,21 +1,25 @@
-"""Run orchestration: dump + incremental sync micro-batch runs (T1/T2/T7/T8).
+"""Run orchestration: one run body for the dump and every sync (T1/T2/T7/T8).
 
 The reference's operational loop (quad-logger/entrypoint.sh:14-17 →
-generate-rdfpatch.sh:407-427) alternates between one initial full dump and
-repeated incremental syncs gated by a checkpoint cursor. This module is that
-loop's body for the new engine — each call is one bounded Dataset execution
-(the ``ray job submit`` unit):
+generate-rdfpatch.sh:407-427) runs one initial full dump, gated by a dump
+marker (:277-297), then repeated incremental syncs, each gated by a
+checkpoint cursor (:348-351). Here a dump is the first sync: the diff of
+the empty state against the first crawl. :func:`_run` is the one body of
+both, and each call is one bounded Dataset execution (the ``ray job
+submit`` unit). A dump is the call that passes an ``epoch``: every quad
+is a '+' record at checkpoint 00000000000000 (generate-rdfpatch.sh:
+210-217) and the epoch is signed (T2). A sync publishes the +/- changelog
+of the prior state against the new one (J1) at a later checkpoint.
 
-  run_dump   no dump-info yet (C4/C5 analog: committed manifest absent) ->
-             full quad build, all '+' ops, checkpoint ts 00000000000000
-             (generate-rdfpatch.sh:210-217), epoch signed (T2), cursor
-             written AFTER the manifest commits (T1).
-  run_sync   cursor present -> changelog = anti-join(prev snapshot quads,
-             current snapshot quads) (J1), written as a sync run with the
-             new checkpoint; cursor advances only after commit — a crashed
-             run replays idempotently from the old cursor (T5 semantics).
+Commit order, the same for dumps and syncs: snapshot manifest, patch
+manifest, epoch (dump only), cursor, SNAPSHOT pointer. The patch manifest
+is the transaction. :func:`_repair` runs at the start of every run and
+brings epoch, cursor and pointer up to it, so a crash after the manifest
+commits loses no state and publishes nothing twice (T1/T5). A crash
+before it leaves the cursor and pointer on the prior state, and the retry
+publishes the full delta again under the same file names.
 
-Bucket-aligned snapshot sync: with a ``snapshot_root`` (which
+Bucket-aligned snapshot runs: with a ``snapshot_root`` (which
 ``run_sync_quads``/``run_sync_pages`` require) a dump or sync is ONE
 ``groupby(bucket).map_groups`` pass, bucket = ``hash(g) % n_buckets`` —
 the partitioning the stored snapshot and the patch sink already share.
@@ -23,13 +27,11 @@ Each bucket task sorts and writes its shard of the new snapshot, reads the
 prior snapshot's shard of the same bucket straight from disk, takes both
 anti-join directions locally (``changelog.diff_bucket``) and writes that
 bucket's +/- patch files (``publish.write_patch_files``). Only file
-metadata returns to the calling process, which commits in order: snapshot
-manifest, patch manifest, cursor, SNAPSHOT pointer (a dump, which no
-older snapshot depends on, swings the pointer before its patch manifest).
-No join aggregators, no second read of either snapshot, no second
-shuffle. Without a ``snapshot_root`` ``run_dump``/``run_sync`` recompute
-both crawl states and diff them with ``changelog.diff_quads`` (the same
-per-bucket ``diff_bucket`` over one shuffle of both states) before
+metadata returns to the calling process, which commits. No join
+aggregators, no second read of either snapshot, no second shuffle.
+Without a ``snapshot_root`` a dump writes ``_with_op(quads, "+")`` and a
+sync writes ``changelog.diff_quads(prev, new)`` (the same per-bucket
+``diff_bucket`` over one shuffle of both states) through
 ``write_rdfpatch``; that plain sink is the reference the snapshot-backed
 sinks are tested against.
 
@@ -160,17 +162,18 @@ def _bucket_pass(
     out_root: str,
     *,
     checkpoint: str,
-    n_buckets: int,
+    epoch: str,
     cfg: EngineConfig,
-    prev_dir: str | None = None,
-    prev_buckets: tuple[int, ...] = (),
-) -> tuple[list[FileEntry], list[FileEntry]]:
+    t_run0: float,
+    prev: tuple[str, RunManifest] | None = None,
+) -> list[FileEntry]:
     """One shuffle: new quads keyed by ``hash(g) % n_buckets`` -> per bucket
     the sorted snapshot shard under ``snap_dir`` and the patch files under
-    ``out_root``. Returns ``(shards, patch_entries)`` for the caller's
-    commits. ``prev_dir`` None = dump (every quad is '+'); otherwise its
-    shards MUST be keyed by the same hash and ``n_buckets`` — the caller
-    checks the prior snapshot's manifest (:func:`_aligned_snapshot`).
+    ``out_root``. Commits the new snapshot's manifest and returns the patch
+    entries for the caller's commit. ``prev`` None = dump (every quad is
+    '+'); otherwise it is the prior snapshot's ``(dir, manifest)``, whose
+    shards MUST be keyed by the same hash — the caller re-keys them first
+    (:func:`_aligned_snapshot`) — and whose ``n_buckets`` the new one keeps.
 
     A bucket that held prior quads but receives no new ones still needs a
     task to emit its '-' records: every prior bucket id is passed to
@@ -180,8 +183,11 @@ def _bucket_pass(
 
     from virtuoso_quad_log_ray.pipelines.changelog import QUAD_COLS, diff_bucket
     from virtuoso_quad_log_ray.pipelines.materialize import (
+        bucket_id,
         bucket_rel,
         by_bucket,
+        commit_materialized,
+        default_n_buckets,
         entries_table,
         entry_of,
         write_snapshot_bucket,
@@ -190,7 +196,9 @@ def _bucket_pass(
     from virtuoso_quad_log_ray.stages.extract_triples import QUADS_SCHEMA
 
     maxq = cfg.max_quads_per_file
-    prev_set = set(prev_buckets)
+    prev_dir, prev_man = prev or (None, None)
+    n_buckets = prev_man.n_buckets if prev_man else default_n_buckets()
+    prev_set = {bucket_id(e.name) for e in prev_man.files} if prev_man else set()
     os.makedirs(snap_dir, exist_ok=True)
     os.makedirs(out_root, exist_ok=True)
 
@@ -201,8 +209,8 @@ def _bucket_pass(
             new = write_snapshot_bucket(new, os.path.join(snap_dir, rel))
             shards.append(FileEntry(rel, "", len(new), "", 0))
         if bucket in prev_set:
-            prev = pq.read_table(os.path.join(prev_dir, rel), columns=QUAD_COLS)
-            log = diff_bucket(prev.cast(QUADS_SCHEMA), new)
+            old = pq.read_table(os.path.join(prev_dir, rel), columns=QUAD_COLS)
+            log = diff_bucket(old.cast(QUADS_SCHEMA), new)
         else:
             log = with_op(new, "+")
         patches = write_patch_files(log, out_root, checkpoint=checkpoint, maxq=maxq)
@@ -213,46 +221,10 @@ def _bucket_pass(
         new_quads, "g", n_buckets, sync_bucket, schema=QUADS_SCHEMA, also=prev_set
     ).take_all()
     shards = [entry_of(r) for r in meta if r["shard"]]
-    return shards, [entry_of(r) for r in meta if not r["shard"]]
-
-
-def _snapshot_dump(
-    quad_set: ray.data.Dataset,
-    out_root: str,
-    snapshot_root: str,
-    *,
-    epoch: str,
-    cfg: EngineConfig,
-    last_source: str,
-) -> RunManifest:
-    """Snapshot-backed dump body: one bucket pass writes snapshot
-    ``at-<0>`` and the '+' patch files; commits snapshot manifest, pointer
-    (no patch run depends on an older snapshot yet), then patch manifest.
-    The caller writes epoch + cursor."""
-    from virtuoso_quad_log_ray.pipelines.materialize import commit_materialized, default_n_buckets
-
-    t_run0, started = time.perf_counter(), wall_clock()
-    name = f"at-{TS14_ZERO}"
-    snap_dir = os.path.join(snapshot_root, name)
-    n_buckets = default_n_buckets()
-    shards, patches = _bucket_pass(
-        quad_set, snap_dir, out_root, checkpoint=TS14_ZERO, n_buckets=n_buckets, cfg=cfg
-    )
     commit_materialized(
         snap_dir, shards, kind="materialize", epoch=epoch, n_buckets=n_buckets, t_run0=t_run0
     )
-    commit_snapshot(snapshot_root, name)
-    return commit_patch_run(
-        out_root,
-        patches,
-        epoch=epoch,
-        checkpoint=TS14_ZERO,
-        kind="dump",
-        run_index=0,
-        last_source=last_source,
-        t_run0=t_run0,
-        started=started,
-    )
+    return [entry_of(r) for r in meta if not r["shard"]]
 
 
 def _aligned_snapshot(root: str) -> tuple[str, RunManifest]:
@@ -286,100 +258,111 @@ def _aligned_snapshot(root: str) -> tuple[str, RunManifest]:
     return os.path.join(root, rekeyed), man
 
 
-def _snapshot_sync(
+def _repair(out_root: str, snapshot_root: str | None) -> tuple[RunManifest | None, bool]:
+    """Bring epoch, cursor and SNAPSHOT pointer up to the committed patch
+    manifest, the run's transaction. Returns ``(manifest, cursor_was_behind)``;
+    ``(None, False)`` on a sink with no committed run.
+
+    Each commit after the manifest can be lost to a crash. A missing epoch
+    is signed from the manifest; a cursor behind it is raised to
+    ``manifest.checkpoint``; a pointer that names an older snapshot, or
+    none, is swung to ``at-<manifest.checkpoint>`` once that snapshot's
+    manifest has committed. Names compare as strings, so a re-keyed
+    ``at-<C>.rekey`` pointer sorts after ``at-<C>`` and is never undone.
+    """
+    man = load_manifest(out_root)
+    if man is None:
+        return None, False
+    if ckpt.read_epoch(out_root) is None:
+        ckpt.write_epoch(out_root, man.epoch)
+    cursor = ckpt.read_cursor(out_root)
+    behind = cursor is None or cursor < man.checkpoint
+    if behind:
+        ckpt.write_cursor(out_root, man.checkpoint)
+    if snapshot_root is not None:
+        name = f"at-{man.checkpoint}"
+        older = (current_snapshot(snapshot_root) or "") < name
+        if older and load_manifest(os.path.join(snapshot_root, name)) is not None:
+            commit_snapshot(snapshot_root, name)
+    return man, behind
+
+
+def _run(
     new_quads: ray.data.Dataset,
     out_root: str,
-    snapshot_root: str,
     *,
     checkpoint: str,
-    run_index: int,
     cfg: EngineConfig,
+    snapshot_root: str | None,
     last_source: str,
+    epoch: str | None = None,
+    prev_quads: ray.data.Dataset | None = None,
 ) -> RunManifest:
-    """Snapshot-backed sync body: one bucket pass against the current
-    (bucket-aligned) snapshot, then the commits in crash-safe order —
-    snapshot manifest of the pending ``at-<checkpoint>``, patch manifest,
-    cursor, and only then the SNAPSHOT pointer (see run_sync). A retry
-    after a crash before the patch manifest commits rewrites the pending
-    dir, which no reader sees until the pointer swings."""
-    from virtuoso_quad_log_ray.pipelines.materialize import bucket_id, commit_materialized
+    """One run — a dump when ``epoch`` is given, else a sync — gated and
+    committed as the module docstring describes.
 
-    t_run0, started = time.perf_counter(), wall_clock()
-    epoch = ckpt.read_epoch(out_root) or ""
-    prev_dir, prev = _aligned_snapshot(snapshot_root)
-    pending = f"at-{checkpoint}"
-    snap_dir = os.path.join(snapshot_root, pending)
-    shards, patches = _bucket_pass(
-        new_quads,
-        snap_dir,
-        out_root,
-        checkpoint=checkpoint,
-        n_buckets=prev.n_buckets,
-        cfg=cfg,
-        prev_dir=prev_dir,
-        prev_buckets=tuple(bucket_id(e.name) for e in prev.files),
-    )
-    commit_materialized(
-        snap_dir, shards, kind="materialize", epoch=epoch, n_buckets=prev.n_buckets, t_run0=t_run0
-    )
-    manifest = commit_patch_run(
-        out_root,
-        patches,
+    After :func:`_repair`: a dump on a sink with any committed manifest
+    returns it and writes nothing. A sync needs a committed manifest; a
+    retry at the committed checkpoint whose cursor write was lost returns
+    that manifest; any other sync must come after the cursor.
+
+    ``prev_quads`` is the prior state: the plain sink's sync diffs it, and
+    a snapshot-backed sync with no snapshot yet (the dump ran without
+    ``snapshot_root``) first stores it as the snapshot of the committed
+    checkpoint (ADVICE r2, low), so later syncs never recompute it.
+    """
+    from virtuoso_quad_log_ray.state.validate import validate_sink
+
+    validate_sink(out_root)
+    prev, behind = _repair(out_root, snapshot_root)
+    dump = epoch is not None
+    if dump and prev is not None:
+        return prev
+    if not dump:
+        if prev is None:
+            raise RuntimeError("no dump committed yet: dump first")
+        if behind and checkpoint == prev.checkpoint:
+            return prev
+        cursor = ckpt.read_cursor(out_root)
+        if checkpoint <= cursor:
+            raise RuntimeError(f"checkpoint {checkpoint} not after cursor {cursor}")
+        epoch = ckpt.read_epoch(out_root)
+    run = dict(
         epoch=epoch,
         checkpoint=checkpoint,
-        kind="sync",
-        run_index=run_index,
+        kind="dump" if dump else "sync",
+        run_index=0 if dump else prev.run_index + 1,
         last_source=last_source,
-        t_run0=t_run0,
-        started=started,
     )
+    t_run0, started = time.perf_counter(), wall_clock()
+    if snapshot_root is None:
+        log = _with_op(new_quads, "+") if dump else diff_quads(prev_quads, new_quads, cfg)
+        manifest = write_rdfpatch(log, out_root, cfg=cfg, **run)
+    else:
+        prev_snap = None
+        if not dump:
+            if current_snapshot(snapshot_root) is None:
+                if prev_quads is None:
+                    raise RuntimeError("no snapshot checkpoint: dump with snapshot_root first")
+                write_snapshot(snapshot_root, prev_quads, checkpoint=prev.checkpoint, epoch=epoch)
+            prev_snap = _aligned_snapshot(snapshot_root)
+        patches = _bucket_pass(
+            new_quads,
+            _snapshot_dir(snapshot_root, checkpoint),
+            out_root,
+            checkpoint=checkpoint,
+            epoch=epoch,
+            cfg=cfg,
+            t_run0=t_run0,
+            prev=prev_snap,
+        )
+        manifest = commit_patch_run(out_root, patches, t_run0=t_run0, started=started, **run)
+    if dump:
+        ckpt.write_epoch(out_root, epoch)
     ckpt.write_cursor(out_root, checkpoint)
-    commit_snapshot(snapshot_root, pending)
+    if snapshot_root is not None:
+        commit_snapshot(snapshot_root, f"at-{checkpoint}")
     return manifest
-
-
-def _committed_dump(out_root: str) -> RunManifest | None:
-    """Idempotent-dump gate: the committed dump manifest, or None.
-
-    Crash-window repair: the manifest commits BEFORE cursor/epoch are
-    written, so a crash between leaves a committed dump with no cursor —
-    a sync would then fail forever ("no dump committed yet"). Backfill the
-    missing state instead of returning blind."""
-    existing = load_manifest(out_root)
-    if existing is None or existing.kind != "dump":
-        return None
-    if ckpt.read_epoch(out_root) is None:
-        ckpt.write_epoch(out_root, existing.epoch)
-    if ckpt.read_cursor(out_root) is None:
-        ckpt.write_cursor(out_root, TS14_ZERO)
-    return existing
-
-
-def _sync_gate(
-    out_root: str, checkpoint: str, snapshot_root: str | None, dump_call: str
-) -> tuple[RunManifest | None, bool]:
-    """Cursor gate of a sync: ``(prev_manifest, already_committed)``.
-
-    Crash-window repair (VERDICT r3 #1, T1/T3): if the manifest for THIS
-    checkpoint already committed, only the cursor write (and possibly the
-    snapshot-pointer swing) was lost — backfill them and report the run as
-    committed instead of double-publishing."""
-    cursor = ckpt.read_cursor(out_root)
-    if cursor is None:
-        raise RuntimeError(f"no dump committed yet: {dump_call} first")
-    prev_manifest = load_manifest(out_root)
-    if (
-        prev_manifest is not None
-        and checkpoint == prev_manifest.checkpoint
-        and checkpoint > cursor
-    ):
-        ckpt.write_cursor(out_root, checkpoint)
-        if snapshot_root is not None and os.path.isdir(_snapshot_dir(snapshot_root, checkpoint)):
-            commit_snapshot(snapshot_root, f"at-{checkpoint}")
-        return prev_manifest, True
-    if checkpoint <= cursor:
-        raise RuntimeError(f"checkpoint {checkpoint} not after cursor {cursor}")
-    return prev_manifest, False
 
 
 def run_dump(
@@ -391,47 +374,31 @@ def run_dump(
     version: int = 1,
     snapshot_root: str | None = None,
 ) -> RunManifest:
-    """Initial full dump: all quads as '+' records at checkpoint 0.
+    """Initial full dump: every quad of snapshot ``version`` as a '+'
+    record at checkpoint 0 — the first sync, from the empty state.
 
-    Idempotent: if a committed dump manifest exists (the vql_rdfdump_info
-    marker analog, generate-rdfpatch.sh:277-297), returns it unchanged.
+    A no-op on any committed sink (the vql_rdfdump_info marker analog,
+    generate-rdfpatch.sh:277-297): once a dump or sync has committed it
+    returns the latest committed manifest, whatever ``epoch`` it is given,
+    and leaves cursor, epoch, SNAPSHOT pointer and manifest as they are
+    (after :func:`_repair` has completed a crashed run's commits).
     """
-    from virtuoso_quad_log_ray.state.validate import snapshot_probe, validate_input, validate_sink
+    from virtuoso_quad_log_ray.state.validate import snapshot_probe, validate_input
 
     validate_input(sf_dir)
-    validate_sink(out_root)
-    existing = _committed_dump(out_root)
-    if existing is not None:
-        return existing
     probe = snapshot_probe(sf_dir)
-    quad_set = quads_version(sf_dir, version, cfg)
-    last_source = f"{sf_dir}#v{version}"
-    if snapshot_root is not None:
-        # checkpoint the canonical quad set in the same pass that writes
-        # the patch files — the next sync diffs against storage, never a
-        # recomputation of this crawl
-        manifest = _snapshot_dump(
-            quad_set, out_root, snapshot_root, epoch=epoch, cfg=cfg, last_source=last_source
-        )
-    else:
-        manifest = write_rdfpatch(
-            _with_op(quad_set, "+"),
-            out_root,
-            epoch=epoch,
-            checkpoint=TS14_ZERO,
-            kind="dump",
-            cfg=cfg,
-            run_index=0,
-            last_source=last_source,
-        )
+    manifest = _run(
+        quads_version(sf_dir, version, cfg),
+        out_root,
+        checkpoint=TS14_ZERO,
+        cfg=cfg,
+        snapshot_root=snapshot_root,
+        last_source=f"{sf_dir}#v{version}",
+        epoch=epoch,
+    )
     # T6 write-quiescence assertion: immutable Parquet makes serializable
     # fencing free, but assert the input really was unchanged during the run
     probe.assert_unchanged(snapshot_probe(sf_dir))
-    ckpt.write_epoch(out_root, epoch)
-    # cursor written AFTER the manifest commit: crash before this line is
-    # repaired by the idempotent early-return above, which backfills the
-    # missing cursor/epoch from the committed manifest.
-    ckpt.write_cursor(out_root, TS14_ZERO)
     return manifest
 
 
@@ -448,72 +415,36 @@ def run_sync(
     """One incremental sync: +/- changelog between the prev and current
     snapshots, appended to the sink under the new checkpoint ts.
 
-    Requires a committed dump (cursor present — parse_trx_logs cursor gate,
+    Requires a committed dump (parse_trx_logs cursor gate,
     generate-rdfpatch.sh:348-351). With ``snapshot_root`` the PREV side is
     the stored snapshot checkpoint (no recomputation of the prior crawl),
     and the new state is checkpointed in the same bucket pass as the diff.
 
-    Crash-window semantics (ordering is manifest -> cursor -> snapshot
-    pointer):
+    Crash-window semantics (commit order: snapshot manifest -> patch
+    manifest -> cursor -> SNAPSHOT pointer):
 
-    * crash between manifest commit and cursor write: the retry at the SAME
-      checkpoint is repaired below — the committed manifest is authoritative
-      (``max_processed_checkpoint``), so the run backfills the cursor (and
-      the pending snapshot pointer) and returns without re-publishing
-      (VERDICT r3 #1: re-publishing would double-list every file).
-    * crash between cursor write and snapshot-pointer swing: the next sync
-      diffs the OLD snapshot against a NEWER state and re-emits the
-      old->new ops under a new checkpoint — at-least-once duplicates in the
-      patch stream, never a lost delta (ADVICE r3). Consumers must apply
-      +/- records idempotently (set-semantics apply, as
-      ``changelog.apply_changelog`` does); duplicates were chosen over the prior
-      ordering's silently DROPPED deltas (ADVICE r2, high).
+    * crash before the patch manifest commits: nothing is published, and
+      cursor and pointer still name the prior state, so the retry re-diffs
+      old-vs-new and publishes the full delta (ADVICE r2, high).
+    * crash after it: the next run's :func:`_repair` raises the cursor and
+      swings the pointer to the committed snapshot. A retry at the same
+      checkpoint returns the committed manifest without re-publishing
+      (VERDICT r3 #1: re-publishing would double-list every file), and a
+      later sync diffs against the committed state, so each delta is
+      published exactly once.
     """
-    from virtuoso_quad_log_ray.state.validate import validate_input, validate_sink
+    from virtuoso_quad_log_ray.state.validate import validate_input
 
     validate_input(sf_dir)
-    validate_sink(out_root)
-    prev_manifest, committed = _sync_gate(out_root, checkpoint, snapshot_root, "run_dump")
-    if committed:
-        return prev_manifest
-    run_index = (prev_manifest.run_index + 1) if prev_manifest else 1
-    last_source = f"{sf_dir}#v{new_version}"
-    new_quads = quads_version(sf_dir, new_version, cfg)
-    if snapshot_root is not None:
-        if current_snapshot(snapshot_root) is None:
-            # Bootstrap (ADVICE r2, low): the dump ran without snapshot_root,
-            # so no snapshot exists. Materialize the committed prev state as
-            # the snapshot now (full commit — it IS the cursor's state) so
-            # snapshotting starts paying off instead of silently recomputing
-            # the prior crawl on every sync forever.
-            write_snapshot(
-                snapshot_root,
-                quads_version(sf_dir, prev_version, cfg),
-                checkpoint=ckpt.read_cursor(out_root),
-                epoch=ckpt.read_epoch(out_root) or "",
-            )
-        return _snapshot_sync(
-            new_quads,
-            out_root,
-            snapshot_root,
-            checkpoint=checkpoint,
-            run_index=run_index,
-            cfg=cfg,
-            last_source=last_source,
-        )
-    log = diff_quads(quads_version(sf_dir, prev_version, cfg), new_quads, cfg)
-    manifest = write_rdfpatch(
-        log,
+    return _run(
+        quads_version(sf_dir, new_version, cfg),
         out_root,
-        epoch=ckpt.read_epoch(out_root) or "",
         checkpoint=checkpoint,
-        kind="sync",
         cfg=cfg,
-        run_index=run_index,
-        last_source=last_source,
+        snapshot_root=snapshot_root,
+        last_source=f"{sf_dir}#v{new_version}",
+        prev_quads=quads_version(sf_dir, prev_version, cfg),
     )
-    ckpt.write_cursor(out_root, checkpoint)
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -534,32 +465,17 @@ def run_dump_quads(
     snapshot_root: str | None = None,
     last_source: str = "",
 ) -> RunManifest:
-    """Initial dump of an arbitrary quad Dataset (idempotent, T1/T2/T5
-    semantics identical to run_dump)."""
-    from virtuoso_quad_log_ray.state.validate import validate_sink
-
-    validate_sink(out_root)
-    existing = _committed_dump(out_root)
-    if existing is not None:
-        return existing
-    if snapshot_root is not None:
-        manifest = _snapshot_dump(
-            quad_set, out_root, snapshot_root, epoch=epoch, cfg=cfg, last_source=last_source
-        )
-    else:
-        manifest = write_rdfpatch(
-            _with_op(quad_set, "+"),
-            out_root,
-            epoch=epoch,
-            checkpoint=TS14_ZERO,
-            kind="dump",
-            cfg=cfg,
-            run_index=0,
-            last_source=last_source,
-        )
-    ckpt.write_epoch(out_root, epoch)
-    ckpt.write_cursor(out_root, TS14_ZERO)
-    return manifest
+    """Initial dump of an arbitrary quad Dataset (T1/T2/T5 semantics
+    identical to run_dump, a no-op on any committed sink included)."""
+    return _run(
+        quad_set,
+        out_root,
+        checkpoint=TS14_ZERO,
+        cfg=cfg,
+        snapshot_root=snapshot_root,
+        last_source=last_source,
+        epoch=epoch,
+    )
 
 
 def run_sync_quads(
@@ -574,25 +490,13 @@ def run_sync_quads(
     """Incremental sync of an arbitrary quad Dataset against the STORED
     snapshot (snapshot_root is required — there is no recompute fallback
     for a mutable real-world source). Crash-window semantics identical to
-    :func:`run_sync` (see its docstring): same-checkpoint retry after a
-    manifest-committed/cursor-lost crash is repaired without re-publishing;
-    a cursor-committed/pointer-lost crash yields at-least-once duplicate
-    +/- ops on the NEXT sync, never a lost delta."""
-    from virtuoso_quad_log_ray.state.validate import validate_sink
-
-    validate_sink(out_root)
-    prev_manifest, committed = _sync_gate(out_root, checkpoint, snapshot_root, "run_dump_quads")
-    if committed:
-        return prev_manifest
-    if current_snapshot(snapshot_root) is None:
-        raise RuntimeError("no snapshot checkpoint: dump with snapshot_root first")
-    return _snapshot_sync(
+    :func:`run_sync` (see its docstring)."""
+    return _run(
         new_quads,
         out_root,
-        snapshot_root,
         checkpoint=checkpoint,
-        run_index=(prev_manifest.run_index + 1) if prev_manifest else 1,
         cfg=cfg,
+        snapshot_root=snapshot_root,
         last_source=last_source,
     )
 
@@ -666,8 +570,8 @@ def run_loop(
     (quad-logger/entrypoint.sh:14-17: ``while true; do run; sleep
     RUN_INTERVAL; done``), bounded for the sandbox by ``max_runs``.
 
-    Each iteration is one bounded run (the ``ray job submit`` unit):
-    no cursor -> initial dump of snapshot v1; cursor present -> incremental
+    Each iteration is one bounded run (the ``ray job submit`` unit): no
+    committed manifest -> initial dump of snapshot v1; otherwise incremental
     sync from the last committed snapshot version to ``current_version``
     (a re-poll with no upstream change diffs vN against vN: zero records,
     cursor still advances — the reference likewise writes nothing when the
@@ -687,8 +591,8 @@ def run_loop(
     while max_runs is None or i < max_runs:
         if i:
             sleep(interval_s)
-        cursor = ckpt.read_cursor(out_root)
-        if cursor is None:
+        prev = load_manifest(out_root)
+        if prev is None:
             man = run_dump(
                 sf_dir,
                 out_root,
@@ -698,14 +602,12 @@ def run_loop(
                 snapshot_root=snapshot_root,
             )
         else:
-            prev = load_manifest(out_root)
-            prev_version = _version_of(prev.last_source) if prev else 1
             man = run_sync(
                 sf_dir,
                 out_root,
                 checkpoint=ts14(now()),
                 cfg=cfg,
-                prev_version=prev_version,
+                prev_version=_version_of(prev.last_source),
                 new_version=current_version,
                 snapshot_root=snapshot_root,
             )

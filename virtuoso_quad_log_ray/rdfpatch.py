@@ -144,21 +144,6 @@ def graph_b64(iri: str) -> str:
     return base64.b64encode(iri.encode("utf-8")).decode("ascii")
 
 
-def graph_b64_array(arr: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """Vectorized graph_b64 over an Arrow string array.
-
-    base64 has no pyarrow kernel; done via numpy-free Python over the
-    *distinct* values then dictionary-expanded, so cost is O(unique graphs)
-    not O(rows).
-    """
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    encoded = pc.dictionary_encode(arr)
-    uniq = encoded.dictionary.to_pylist()
-    mapped = pa.array([graph_b64(u) for u in uniq], type=pa.string())
-    return pc.take(mapped, encoded.indices)
-
-
 def graph_unb64(name: str) -> str:
     return base64.b64decode(name.encode("ascii")).decode("utf-8")
 

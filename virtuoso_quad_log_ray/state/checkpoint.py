@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import shutil
 
-from virtuoso_quad_log_ray.state.manifest import POINTER, load_manifest, write_durable
+from virtuoso_quad_log_ray.state.manifest import POINTER, write_durable
 
 CURSOR_FILE = "cursor.ts14"
 EPOCH_FILE = "epoch.ts14"
@@ -88,9 +88,3 @@ def verify_handshake(sink_root: str, source_epoch: str) -> bool:
     write_epoch(sink_root, source_epoch)
     return False
 
-
-def max_processed_checkpoint(root: str) -> str | None:
-    """Checkpoint from the committed manifest (authoritative over the cursor
-    file if both exist — the manifest commit is the transaction)."""
-    m = load_manifest(root)
-    return m.checkpoint if m else read_cursor(root)
