@@ -24,8 +24,18 @@ def test_cli_lifecycle(tmp_path, capsys):
     assert main(["sync", "--sf", SF_SMALL, "--out", sink, "--checkpoint", "20250101000000"]) == 0
     assert "sync:" in capsys.readouterr().out
 
+    # a dump on a sink that has synced returns the committed sync and says so
+    assert main(["dump", "--sf", SF_SMALL, "--out", sink, "--epoch", "20240101000000"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("sync: ") and " records in " in out and "@ 20250101000000" in out
+
     assert main(["publish", "--src", sink, "--pub", pub, "--max-files", "100"]) == 0
-    assert "sealed=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    zips = sorted(n for n in os.listdir(pub) if n.endswith(".zip"))
+    n_def = sum(n.startswith("part_def_") for n in zips)
+    n_run = sum(n.startswith("part_run_") for n in zips)
+    assert n_def and n_run  # the dump sealed chunks; the open one holds run zips
+    assert f"sealed={n_def} runs={n_run} " in out
     assert os.path.exists(os.path.join(pub, "resource-dump.xml"))
 
     assert main(["validate", "--sf", SF_SMALL, "--out", sink]) == 0

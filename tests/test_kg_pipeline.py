@@ -97,6 +97,46 @@ class TestChangelogProperties:
         log = pa.table({"op": ["-"], "s": ["a"], "p": ["b\x1fc"], "o": ["o"], "g": ["g"]})
         assert cl.apply_changelog(prev, log).to_pylist() == prev.to_pylist()
 
+    def test_changelog_stats_typed_on_empty_buckets(self, tmp_path):
+        """A 30-document corpus leaves most of the shuffle's buckets empty.
+        Every changelog block, empty ones included, carries the typed
+        (op, s, p, o, g) schema, the tally equals the DuckDB oracle, and
+        no ``count()`` bundle with an empty schema is logged (the tally
+        runs no Ray aggregate)."""
+        import logging
+
+        import duckdb
+        import pyarrow.parquet as pq
+        import ray
+
+        docs = pq.read_table(f"{SF_SMALL}/documents.parquet").slice(0, 30)
+        pq.write_table(docs, str(tmp_path / "documents.parquet"))
+        sf = str(tmp_path)
+
+        blocks = ray.get(cl.changelog(sf).to_arrow_refs())
+        assert any(b.num_rows == 0 for b in blocks)  # the corpus does leave buckets empty
+        assert all(b.column_names == ["op", "s", "p", "o", "g"] for b in blocks)
+
+        warnings: list[str] = []
+
+        class Collect(logging.Handler):
+            def emit(self, record):
+                warnings.append(record.getMessage())
+
+        handler = Collect(level=logging.WARNING)
+        logger = logging.getLogger("ray.data")
+        logger.addHandler(handler)
+        try:
+            got = to_arrow(cl.changelog_stats(sf))
+        finally:
+            logger.removeHandler(handler)
+        assert not [w for w in warnings if "count()" in w], warnings
+
+        con = duckdb.connect()
+        con.sql(f"CREATE VIEW documents AS SELECT * FROM '{sf}/documents.parquet'")
+        want = con.sql(cl.changelog_stats_sql()).arrow()
+        assert sorted(got.to_pylist(), key=str) == sorted(want.to_pylist(), key=str)
+
     def test_changelog_empty_on_identical_snapshots(self):
         v1 = cl.quads_version(SF_SMALL, 1)
         v1b = cl.quads_version(SF_SMALL, 1)

@@ -19,6 +19,7 @@ from virtuoso_quad_log_ray.state.manifest import (
     commit_manifest,
     load_manifest,
 )
+from virtuoso_quad_log_ray.state.validate import ValidationError, validate_sink
 
 
 def _mk_manifest(root, n_files, epoch="20240101000000"):
@@ -102,6 +103,19 @@ class TestHandshake:
         assert os.path.exists(foreign)  # never delete foreign data
         assert ckpt.read_epoch(root) == "E2"
 
+    def test_epoch_mismatch_wipes_run_zips(self, tmp_path):
+        """A run zip, its sidecar and a staged ``.part`` of one are ours: an
+        epoch wipe leaves none of them for the next epoch's bundles."""
+        root = str(tmp_path / "pub")
+        ckpt.write_epoch(root, "E1")
+        run = "part_run_00004_20240101000000.zip"
+        for n in (run, run + ".meta.json", run + ".part", "keepme.txt"):
+            with open(os.path.join(root, n), "w") as f:
+                f.write("x")
+        assert ckpt.is_our_file(run + ".part")
+        assert ckpt.verify_handshake(root, "E2") is False
+        assert sorted(os.listdir(root)) == ["epoch.ts14", "keepme.txt"]
+
     def test_cursor_roundtrip(self, tmp_path):
         root = str(tmp_path / "s")
         assert ckpt.read_cursor(root) is None
@@ -170,7 +184,7 @@ class TestBundlerScenarios:
         os.makedirs(src)
         st = Bundler(src, pub, max_files=2).publish()
         assert os.path.isdir(pub)  # sink created
-        assert (st.def_count, st.end_count) == (0, 0)  # nothing published
+        assert (st.def_count, st.run_count) == (0, 0)  # nothing published
 
     def test_not_publish_uncommitted_file(self, tmp_path):
         """Reference: the single (possibly in-flight) file is not published;
@@ -180,30 +194,30 @@ class TestBundlerScenarios:
         with open(os.path.join(src, "rdf_out_00000000000000-00000000000000"), "w") as f:
             f.write("+ <s> <p> \"o\" <g> .\n")  # no manifest commit
         st = Bundler(src, pub, max_files=2).publish()
-        assert (st.def_count, st.end_count) == (0, 0)
+        assert (st.def_count, st.run_count) == (0, 0)
 
     def test_publish_dump_files(self, tmp_path):
-        """3 committed files, max_files large -> exactly one provisional
-        end-zip holding all 3."""
+        """3 committed files of one run, max_files large -> exactly one
+        run zip holding all 3."""
         src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
         _mk_manifest(src, 3)
         st = Bundler(src, pub, max_files=5).publish()
-        assert (st.def_count, st.end_count) == (0, 1)
+        assert (st.def_count, st.run_count) == (0, 1)
 
     def test_publish_incremental_zips(self, tmp_path):
         """max_files=2; grow source 4 -> 5 -> 6 files: def/end transition
-        2/0 -> 2/1 -> 3/0 (sealing of provisional bundles)."""
+        2/0 -> 2/1 -> 3/0 (a sealed chunk replaces its run zips)."""
         src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
         b = Bundler(src, pub, max_files=2)
         _mk_manifest(src, 4)
         st = b.publish()
-        assert (st.def_count, st.end_count) == (2, 0)
+        assert (st.def_count, st.run_count) == (2, 0)
         _mk_manifest(src, 5)
         st = b.publish()
-        assert (st.def_count, st.end_count) == (2, 1)
+        assert (st.def_count, st.run_count) == (2, 1)
         _mk_manifest(src, 6)
         st = b.publish()
-        assert (st.def_count, st.end_count) == (3, 0)
+        assert (st.def_count, st.run_count) == (3, 0)
 
     def test_publish_metadata_documents(self, tmp_path):
         """S8: resource-dump.xml lists every zip with md5/length; capability
@@ -213,12 +227,17 @@ class TestBundlerScenarios:
         _mk_manifest(src, 5)
         b.publish()
         written = b.publish_metadata()
+        from virtuoso_quad_log_ray.pipelines.publish import source_part
+
+        parts = {
+            os.path.join(".well-known", f"resourcesync-{source_part(d):02d}.xml") for d in ("", "g")
+        }
         assert set(written) == {
             "resource-dump.xml",
             "capability-list.xml",
             os.path.join("g", "capability-list.xml"),  # one per graph dir (S8)
             os.path.join(".well-known", "resourcesync"),
-        }
+        } | parts  # one dump run, no sync run: no ChangeList
         import xml.etree.ElementTree as ET
 
         ns = {
@@ -228,7 +247,7 @@ class TestBundlerScenarios:
         root = ET.parse(os.path.join(pub, "resource-dump.xml")).getroot()
         locs = [u.find("sm:loc", ns).text for u in root.findall("sm:url", ns)]
         zips = sorted(n for n in os.listdir(pub) if n.endswith(".zip"))
-        assert len(locs) == len(zips) == 3  # 2 sealed + 1 provisional
+        assert len(locs) == len(zips) == 3  # 2 sealed + 1 run zip
         for u in root.findall("sm:url", ns):
             md = u.find("rs:md", ns)
             assert md.get("hash", "").startswith("md5:")
@@ -237,10 +256,25 @@ class TestBundlerScenarios:
             assert u.find("sm:lastmod", ns).text == "0000-00-00T00:00:00Z"
         # dump-level max lastmod rides the rs:md (synchronizer.py:168-170)
         assert root.find("rs:md", ns).get("at") == "0000-00-00T00:00:00Z"
-        # source description registers the per-graph capability list
+        # the source description is an index over parts that register the
+        # top-level and the per-graph capability lists
         src_desc = ET.parse(os.path.join(pub, ".well-known", "resourcesync")).getroot()
-        cap_locs = [u.find("sm:loc", ns).text for u in src_desc.findall("sm:url", ns)]
-        assert any(loc.endswith("g/capability-list.xml") for loc in cap_locs)
+        part_locs = [u.find("sm:loc", ns).text for u in src_desc.findall("sm:sitemap", ns)]
+        assert sorted(loc.split("/pub/", 1)[1] for loc in part_locs) == sorted(parts)
+        cap_locs = [
+            u.find("sm:loc", ns).text
+            for rel in parts
+            for u in ET.parse(os.path.join(pub, rel)).getroot().findall("sm:url", ns)
+        ]
+        assert sorted(loc.split("/pub/", 1)[1] for loc in cap_locs) == [
+            "capability-list.xml",
+            "g/capability-list.xml",
+        ]
+        # the top-level capability list points at capability documents only
+        top = ET.parse(os.path.join(pub, "capability-list.xml")).getroot()
+        assert [u.find("sm:loc", ns).text for u in top.findall("sm:url", ns)] == [
+            "http://example.org/pub/resource-dump.xml"
+        ]
 
     def test_per_graph_capability_list_enumerates_own_files(self, tmp_path):
         """VERDICT r2 #2: each graph dir's capability list names exactly that
@@ -273,6 +307,31 @@ class TestBundlerScenarios:
             assert u.find("sm:lastmod", ns).text == "0000-00-00T00:00:00Z"
         # a dir with no committed files never appears
         assert not os.path.exists(os.path.join(pub, "h", "capability-list.xml"))
+
+    def test_per_graph_capability_list_bytes(self, tmp_path):
+        """The per-graph list keeps its exact bytes (one pointer to the
+        resource dump, then one <url> per committed file)."""
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        m = _mk_dirs_manifest(src, {"h": 1})
+        b = Bundler(src, pub, max_files=2)
+        b.publish()
+        b.publish_metadata()
+        (e,) = m.files
+        with open(os.path.join(pub, "h", "capability-list.xml")) as f:
+            assert f.read() == (
+                '<?xml version="1.0" encoding="UTF-8"?>\n'
+                '<urlset xmlns="http://www.sitemaps.org/schemas/sitemap/0.9" '
+                'xmlns:rs="http://www.openarchives.org/rs/terms/">\n'
+                '  <rs:md capability="capabilitylist"/>\n'
+                '  <url><loc>http://example.org/pub/resource-dump.xml</loc>'
+                '<rs:md capability="resourcedump"/></url>\n'
+                "  <url>\n"
+                f"    <loc>http://example.org/pub/{e.name}</loc>\n"
+                "    <lastmod>0000-00-00T00:00:00Z</lastmod>\n"
+                f'    <rs:md hash="md5:{e.md5}" length="{e.length}"/>\n'
+                "  </url>\n"
+                "</urlset>\n"
+            )
 
     def test_publish_metadata_transactional_on_failure(self, tmp_path, monkeypatch):
         """VERDICT r2 #6: an exception mid-publish_metadata leaves the
@@ -327,25 +386,25 @@ class TestBundlerScenarios:
         b = Bundler(src, pub, max_files=2, move_resources=True)
         m = _mk_manifest(src, 5)
         st = b.publish()
-        assert (st.def_count, st.end_count) == (2, 1)
+        assert (st.def_count, st.run_count) == (2, 1)
         on_disk = {e.name for e in m.files if os.path.exists(os.path.join(src, e.name))}
         sealed = {e.name for e in m.files[:4]}
         assert on_disk.isdisjoint(sealed)  # sealed sources removed
-        assert on_disk == {m.files[4].name}  # remainder kept (end zip source)
+        assert on_disk == {m.files[4].name}  # open chunk kept (run zip source)
         st2 = b.publish()  # idempotent: sealed zips never re-read
-        assert (st2.def_count, st2.end_count) == (2, 1)
+        assert (st2.def_count, st2.run_count) == (2, 1)
 
     def test_unchanged_remainder_not_rewritten(self, tmp_path):
-        """is_same skip (zipsynchronizer.py:149): same remainder -> the end
+        """is_same skip (zipsynchronizer.py:149): same open chunk -> its run
         zip is not recreated."""
         src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
         b = Bundler(src, pub, max_files=2)
         _mk_manifest(src, 3)
         b.publish()
-        end = [n for n in os.listdir(pub) if n.startswith("part_end_")][0]
-        mtime = os.path.getmtime(os.path.join(pub, end))
+        run = [n for n in os.listdir(pub) if n.startswith("part_run_") and n.endswith(".zip")][0]
+        mtime = os.path.getmtime(os.path.join(pub, run))
         b.publish()
-        assert os.path.getmtime(os.path.join(pub, end)) == mtime
+        assert os.path.getmtime(os.path.join(pub, run)) == mtime
 
 
 class TestBundleByteBound:
@@ -361,7 +420,7 @@ class TestBundleByteBound:
         # chunking is driven purely by bytes -> 2-file sealed zips
         b = Bundler(src, pub, max_files=10, max_bytes=2 * entry_len)
         st = b.publish()
-        assert (st.def_count, st.end_count) == (2, 1)
+        assert (st.def_count, st.run_count) == (2, 1)
         # each sealed zip's SOURCE payload is within the byte bound
         for zname in sorted(
             n
@@ -378,8 +437,8 @@ class TestBundleByteBound:
         m = _mk_manifest(src, 3)
         b = Bundler(src, pub, max_files=10, max_bytes=1)  # every file oversize
         st = b.publish()
-        # each file chunks alone; last one stays provisional
-        assert (st.def_count, st.end_count) == (2, 1)
+        # each file chunks alone; the last one stays in the open chunk
+        assert (st.def_count, st.run_count) == (2, 1)
 
     def test_chunking_stable_as_files_append(self, tmp_path):
         """Sealed zips are immutable: growing the manifest never re-chunks
@@ -467,22 +526,35 @@ class TestWriteIfChangedMetadata:
         after = _stat_ids(pub, docs)
         g_cap = os.path.join("g", "capability-list.xml")
         h_cap = os.path.join("h", "capability-list.xml")
-        well_known = os.path.join(".well-known", "resourcesync")
+        well_known = [rel for rel in docs if rel.startswith(".well-known")]
         assert after[g_cap] != before[g_cap]
-        assert after["capability-list.xml"] != before["capability-list.xml"]
+        assert after["resource-dump.xml"] != before["resource-dump.xml"]  # new run zip
+        # the top-level list names capability documents, not resources
+        assert after["capability-list.xml"] == before["capability-list.xml"]
         assert after[h_cap] == before[h_cap]
-        assert after[well_known] == before[well_known]  # same graph dirs
+        for rel in well_known:  # same graph dirs
+            assert after[rel] == before[rel], rel
+
+        from virtuoso_quad_log_ray.pipelines.publish import source_part
 
         _mk_dirs_manifest(src, {"g": 3, "h": 2, "k": 1})  # a new graph dir
         b.publish()
         docs = b.publish_metadata()
         assert os.path.join("k", "capability-list.xml") in docs
         final = _stat_ids(pub, docs)
-        assert final[well_known] != after[well_known]
+        k_part = os.path.join(".well-known", f"resourcesync-{source_part('k'):02d}.xml")
+        index = os.path.join(".well-known", "resourcesync")
+        # only k's part of the source description is written, and the
+        # index only when that part is new
+        for rel in well_known:
+            if rel not in (k_part, index):
+                assert final[rel] == after[rel], rel
+        assert after.get(k_part) != final[k_part]
+        assert (final[index] != after[index]) == (k_part not in after)
         assert final[h_cap] == before[h_cap]
 
     def test_written_docs_equal_a_from_scratch_render(self, tmp_path):
-        """After a sequence of publishes (seals, end-zip swaps, a new dir, a
+        """After a sequence of publishes (seals, run-zip swaps, a new dir, a
         hand-edited doc and a deleted one), every doc equals what a fresh
         publish_metadata renders from the same zips and sidecars."""
         import shutil
@@ -518,7 +590,7 @@ class TestWriteIfChangedMetadata:
 class TestZipSidecarCrashWindow:
     """A zip becomes visible only with its complete sidecar. ``publish``
     never rewrites a zip that exists (sealed zips are skipped, an unchanged
-    end zip too), so a zip left without its sidecar would make every later
+    run zip too), so a zip left without its sidecar would make every later
     ``publish_metadata`` fail."""
 
     @staticmethod
@@ -540,7 +612,7 @@ class TestZipSidecarCrashWindow:
         import zipfile
 
         src = str(tmp_path / "src")
-        _mk_manifest(src, 5)  # max_files=2: two sealed zips + one end zip
+        _mk_manifest(src, 5)  # max_files=2: two sealed zips + one run zip
         real = {
             "open": builtins.open,
             "replace": os.replace,
@@ -580,13 +652,327 @@ class TestZipSidecarCrashWindow:
             finally:
                 monkeypatch.undo()
             st = b.publish()
-            assert (st.def_count, st.end_count) == (2, 1), step
+            assert (st.def_count, st.run_count) == (2, 1), step
             b.publish_metadata()
             self._check_sidecars(pub)
             if not crashed:
                 break
             step += 1
         assert step >= 3 * 3  # every zip's content, sidecar and rename steps
+
+
+def _commit_runs(root, runs, epoch="20240101000000"):
+    """Commit a manifest of ``runs``, a list of (checkpoint, dirs): each run
+    writes one patch file per dir, appended in name order the way
+    ``commit_patch_run`` appends a run."""
+    import hashlib
+
+    from virtuoso_quad_log_ray.rdfpatch import patch_file_name
+
+    files = []
+    for ckpt, dirs in runs:
+        run = []
+        for d in dirs:
+            rel = f"{d}/{patch_file_name(ckpt, 0)}"
+            body = f"# at checkpoint  {ckpt}\n+ <s> <p> \"{d}\" <http://{d}> .\n"
+            os.makedirs(os.path.join(root, d), exist_ok=True)
+            with open(os.path.join(root, rel), "w") as f:
+                f.write(body)
+            run.append(FileEntry(rel, f"http://{d}", 1, hashlib.md5(body.encode()).hexdigest(), len(body)))
+        files += sorted(run, key=lambda e: e.name)
+    last = runs[-1][0]
+    m = RunManifest(epoch=epoch, checkpoint=last, kind="dump" if len(runs) == 1 else "sync",
+                    files=files, run_index=len(runs) - 1)
+    commit_manifest(root, m)
+    return m
+
+
+def _zip_members(pub):
+    """{zip name: member files} of every zip in the publish dir."""
+    import zipfile
+
+    out = {}
+    for n in sorted(os.listdir(pub)):
+        if n.endswith(".zip"):
+            with zipfile.ZipFile(os.path.join(pub, n)) as z:
+                out[n] = [m for m in z.namelist() if m != "manifest.json"]
+    return out
+
+
+T0, TA, TB, TC, TD = "00000000000000", "20240101000000", "20240102000000", "20240103000000", "20240104000000"
+# max_files=4: the dump seals chunk 0 and opens chunk 1, sync A adds to it,
+# sync B fills and seals it, sync C opens chunk 2, sync D seals chunk 2 and
+# spills one file into chunk 3.
+RUNS = [
+    (T0, ["a", "b", "c", "d", "e", "f"]),
+    (TA, ["a"]),
+    (TB, ["b"]),
+    (TC, ["c", "g"]),
+    (TD, ["a", "d", "h"]),
+]
+
+
+class TestRunZips:
+    """The open chunk is one immutable run zip per run; a round writes only
+    its own files, and a sealed chunk's part_def zip replaces its run zips."""
+
+    def test_each_round_zips_only_its_own_files(self, tmp_path):
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        b = Bundler(src, pub, max_files=4)
+        _commit_runs(src, RUNS[:1])
+        st = b.publish()
+        assert (st.def_count, st.run_count) == (1, 1)
+        dump_run = f"part_run_00001_{T0}.zip"
+        assert _zip_members(pub)[dump_run] == ["e/rdf_out_00000000000000-00000000000000",
+                                               "f/rdf_out_00000000000000-00000000000000"]
+        kept = _stat_ids(pub, ["part_def_00000.zip", dump_run, dump_run + ".meta.json"])
+
+        _commit_runs(src, RUNS[:2])
+        st = b.publish()
+        assert (st.def_count, st.run_count) == (1, 2)
+        assert _zip_members(pub)[f"part_run_00001_{TA}.zip"] == [f"a/rdf_out_{TA}-00000000000000"]
+        assert _stat_ids(pub, list(kept)) == kept  # earlier zips untouched
+
+        _commit_runs(src, RUNS[:3])  # chunk 1 fills and seals
+        st = b.publish()
+        assert (st.def_count, st.run_count) == (2, 0)
+        assert not [n for n in os.listdir(pub) if n.startswith("part_run_")]  # sidecars too
+        assert _stat_ids(pub, ["part_def_00000.zip"]) == {"part_def_00000.zip": kept["part_def_00000.zip"]}
+
+        _commit_runs(src, RUNS)  # C opens chunk 2, D seals it and spills into chunk 3
+        st = b.publish()
+        assert (st.def_count, st.run_count) == (3, 1)
+        members = _zip_members(pub)
+        assert members["part_def_00002.zip"] == [
+            f"c/rdf_out_{TC}-00000000000000", f"g/rdf_out_{TC}-00000000000000",
+            f"a/rdf_out_{TD}-00000000000000", f"d/rdf_out_{TD}-00000000000000",
+        ]
+        assert members[f"part_run_00003_{TD}.zip"] == [f"h/rdf_out_{TD}-00000000000000"]
+        validate_sink(src, pub)
+
+    def test_changelists_and_index_pages(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        ns = {
+            "sm": "http://www.sitemaps.org/schemas/sitemap/0.9",
+            "rs": "http://www.openarchives.org/rs/terms/",
+        }
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        b = Bundler(src, pub, max_files=4)
+        _commit_runs(src, RUNS[:2])
+        b.publish()
+        docs = b.publish_metadata()
+        assert "changelist/" + T0 + ".xml" not in docs  # the dump has no ChangeList
+        assert [d for d in docs if d.startswith("changelist")] == [
+            "changelist-00001.xml", f"changelist/{TA}.xml",
+        ]
+        cl = ET.parse(os.path.join(pub, "changelist", f"{TA}.xml")).getroot()
+        assert cl.find("rs:md", ns).get("capability") == "changelist"
+        (u,) = cl.findall("sm:url", ns)
+        m = load_manifest(src)
+        e = [f for f in m.files if f.name.startswith("a/") and TA in f.name][0]
+        assert u.find("sm:loc", ns).text == f"http://example.org/pub/{e.name}"
+        assert u.find("sm:lastmod", ns).text == "2024-01-01T00:00:00Z"
+        md = u.find("rs:md", ns)
+        assert (md.get("change"), md.get("hash"), md.get("length")) == ("created", f"md5:{e.md5}", str(e.length))
+        top = ET.parse(os.path.join(pub, "capability-list.xml")).getroot()
+        assert [u.find("sm:loc", ns).text.rsplit("/", 1)[1] for u in top.findall("sm:url", ns)] == [
+            "resource-dump.xml", "changelist-00001.xml",
+        ]
+
+        _commit_runs(src, RUNS[:3])  # B starts in chunk 1 and seals it
+        b.publish()
+        b.publish_metadata()
+        page1 = ET.parse(os.path.join(pub, "changelist-00001.xml")).getroot()
+        assert [s.find("sm:loc", ns).text.rsplit("/", 1)[1] for s in page1.findall("sm:sitemap", ns)] == [
+            f"{TA}.xml", f"{TB}.xml",
+        ]
+        frozen = _stat_ids(pub, ["changelist-00001.xml", f"changelist/{TA}.xml", f"changelist/{TB}.xml"])
+        _commit_runs(src, RUNS)
+        b.publish()
+        docs = b.publish_metadata()
+        assert _stat_ids(pub, list(frozen)) == frozen  # chunk 1 sealed: its page is final
+        assert "changelist-00002.xml" in docs and "changelist-00003.xml" not in docs  # D starts in chunk 2
+
+    def test_crash_between_seal_and_run_zip_removal_repairs(self, tmp_path, monkeypatch):
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        b = Bundler(src, pub, max_files=4)
+        _commit_runs(src, RUNS[:2])
+        b.publish()
+        _commit_runs(src, RUNS[:3])
+
+        def crash(path):
+            raise OSError("simulated crash")
+
+        monkeypatch.setattr(os, "remove", crash)
+        with pytest.raises(OSError, match="simulated"):
+            b.publish()
+        monkeypatch.undo()
+        with pytest.raises(ValidationError, match="two zips"):
+            validate_sink(src, pub)  # sealed, and the run zips still there
+        st = b.publish()
+        assert (st.def_count, st.run_count) == (2, 0)
+        validate_sink(src, pub)
+
+
+class TestValidateBundles:
+    """validate_sink: no committed file in two zips; every run zip's files
+    lie in the open chunk."""
+
+    def test_consistent_state_passes(self, tmp_path):
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        b = Bundler(src, pub, max_files=4)
+        for k in range(1, len(RUNS) + 1):
+            _commit_runs(src, RUNS[:k])
+            b.publish()
+            validate_sink(src, pub)
+
+    def test_file_in_two_zips_rejected(self, tmp_path):
+        import shutil
+
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        _commit_runs(src, RUNS[:2])
+        Bundler(src, pub, max_files=4).publish()
+        run = f"part_run_00001_{TA}.zip"
+        shutil.copy(os.path.join(pub, run), os.path.join(pub, f"part_run_00001_{TB}.zip"))
+        with pytest.raises(ValidationError, match="two zips"):
+            validate_sink(src, pub)
+
+    def test_run_zip_outside_open_chunk_rejected(self, tmp_path):
+        import shutil
+
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        _commit_runs(src, RUNS[:2])
+        Bundler(src, pub, max_files=4).publish()
+        run = f"part_run_00001_{TA}.zip"
+        os.replace(os.path.join(pub, run), os.path.join(pub, f"part_run_00002_{TA}.zip"))
+        with pytest.raises(ValidationError, match="open chunk"):
+            validate_sink(src, pub)
+        # a run zip holding a sealed file
+        os.replace(os.path.join(pub, f"part_run_00002_{TA}.zip"), os.path.join(pub, run))
+        validate_sink(src, pub)
+        shutil.copy(os.path.join(pub, "part_def_00000.zip"), os.path.join(pub, "part_def_00001.zip"))
+        with pytest.raises(ValidationError):
+            validate_sink(src, pub)
+
+
+class TestPublishCrashPoints:
+    """Every write, rename and remove that ``publish`` + ``publish_metadata``
+    do is a crash point. For each stage of dump -> 3 syncs -> seal
+    (``RUNS``, max_files=4) and each step i of that stage's publish, the
+    publish crashes at step i (a raised OSError) on a copy of the previous
+    stage's publish dir, and then runs again. Right after the crash, every
+    file published before is still in a zip whose sidecar matches it; after
+    the re-run every committed file is in exactly one zip, every sidecar
+    matches its zip, nothing is left staged, and every doc equals a
+    from-scratch render."""
+
+    @staticmethod
+    def _crashing(monkeypatch, crash_at):
+        """Patch the file operations; returns the step counter. Step
+        ``crash_at`` (0-based) raises; None only counts."""
+        import builtins
+        import zipfile
+
+        seen = [0]
+
+        def step():
+            if seen[0] == crash_at:
+                raise OSError(f"simulated crash at step {crash_at}")
+            seen[0] += 1
+
+        def wrap(fn, counts=lambda *a, **k: True):
+            def wrapped(*a, **k):
+                if counts(*a, **k):
+                    step()
+                return fn(*a, **k)
+
+            return wrapped
+
+        def writes(file, mode="r", *a, **k):
+            return any(c in mode for c in "wax+")
+
+        monkeypatch.setattr(builtins, "open", wrap(builtins.open, writes))
+        monkeypatch.setattr(os, "replace", wrap(os.replace))
+        monkeypatch.setattr(os, "remove", wrap(os.remove))
+        monkeypatch.setattr(zipfile.ZipFile, "write", wrap(zipfile.ZipFile.write))
+        monkeypatch.setattr(zipfile.ZipFile, "writestr", wrap(zipfile.ZipFile.writestr))
+        return seen
+
+    @staticmethod
+    def _sidecars_match(pub):
+        import hashlib
+        import json
+
+        for n in os.listdir(pub):
+            if n.endswith(".zip"):
+                with open(os.path.join(pub, n), "rb") as f:
+                    data = f.read()
+                with open(os.path.join(pub, n + ".meta.json")) as f:
+                    meta = json.load(f)
+                assert (meta["md5"], meta["length"]) == (hashlib.md5(data).hexdigest(), len(data)), n
+
+    @staticmethod
+    def _publish(src, pub):
+        b = Bundler(src, pub, max_files=4)
+        b.publish()
+        return b.publish_metadata()
+
+    def test_crash_at_every_step_of_every_stage(self, tmp_path, monkeypatch):
+        import shutil
+
+        src, base = str(tmp_path / "src"), str(tmp_path / "base")
+        os.makedirs(base)
+        crashes = 0
+        for k in range(1, len(RUNS) + 1):
+            _commit_runs(src, RUNS[:k])
+            published = {m for ms in _zip_members(base).values() for m in ms}
+            committed = [e.name for e in load_manifest(src).files]
+            count = str(tmp_path / "count")
+            shutil.copytree(base, count)
+            seen = self._crashing(monkeypatch, None)
+            self._publish(src, count)
+            monkeypatch.undo()
+            shutil.rmtree(count)
+            n_steps = seen[0]
+            for i in range(n_steps):
+                pub = str(tmp_path / f"s{k}-{i}")
+                shutil.copytree(base, pub)
+                self._crashing(monkeypatch, i)
+                with pytest.raises(OSError, match="simulated"):
+                    self._publish(src, pub)
+                monkeypatch.undo()
+                crashes += 1
+                # nothing published before the crash is lost
+                still = {m for ms in _zip_members(pub).values() for m in ms}
+                assert published <= still, (k, i)
+                self._sidecars_match(pub)
+
+                docs = self._publish(src, pub)
+                members = _zip_members(pub)
+                held = [m for ms in members.values() for m in ms]
+                assert sorted(held) == sorted(committed), (k, i)  # each file in exactly one zip
+                self._sidecars_match(pub)
+                validate_sink(src, pub)
+                for d, _, names in os.walk(pub):
+                    assert not [n for n in names if n.endswith(".part")], (k, i, d)
+                    for n in names:
+                        if n.endswith(".zip.meta.json"):
+                            assert n[: -len(".meta.json")] in names, (k, i, n)
+                fresh = str(tmp_path / "fresh")
+                os.makedirs(fresh)
+                for n in os.listdir(pub):
+                    if n.endswith(".zip") or n.endswith(".zip.meta.json"):
+                        shutil.copy2(os.path.join(pub, n), fresh)
+                assert Bundler(src, fresh, max_files=4).publish_metadata() == docs
+                for rel in docs:
+                    with open(os.path.join(pub, rel), "rb") as f, open(os.path.join(fresh, rel), "rb") as g:
+                        assert f.read() == g.read(), (k, i, rel)
+                shutil.rmtree(fresh)
+                shutil.rmtree(pub)
+            self._publish(src, base)
+        print("crash points", crashes)
+        assert crashes >= 5 * 10
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -394,7 +394,8 @@ class TestTextStats:
         boundary: no k-gram (len < K), exactly one k-gram (m=1), one short
         of a full window (m=W-1), exactly one window (m=W — BOTH the window
         and short-doc branches fire; distinct must collapse them), one past
-        (m=W+1), and the empty string."""
+        (m=W+1), the empty string, and a non-ASCII page whose k-grams span
+        multi-byte UTF-8 characters (both sides hash bytes)."""
         import duckdb
         import pyarrow as pa
         import pyarrow.parquet as pq
@@ -405,6 +406,7 @@ class TestTextStats:
         # text of length L has m = L - K + 1 k-grams
         lengths = [0, K - 3, K, K + W - 2, K + W - 1, K + W, 3 * W]
         texts = ["abcdefghij kl mnop"[:L].ljust(L, "x") for L in lengths]
+        texts.append("naïve café — Straße ünd 東京 " * 3)
         t = pa.table(
             {
                 "doc_id": pa.array(list(range(2, 2 + len(texts))), type=pa.int64()),

@@ -59,7 +59,7 @@ class TestRuns:
         # --- publish over the committed manifest ---
         pub = str(tmp_path / "pub")
         st = Bundler(root, pub, max_files=50).publish()
-        assert st.def_count + st.end_count >= 1
+        assert st.def_count + st.run_count >= 1
         man = load_manifest(root)
         assert man.run_index == 1
 

@@ -132,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         bundler = cls(args.src, args.pub, max_files=args.max_files)
         state = bundler.publish()
         written = bundler.publish_metadata()
-        print(f"sealed={state.def_count} provisional={state.end_count} metadata={written}")
+        print(f"sealed={state.def_count} runs={state.run_count} metadata={written}")
         return 0
 
     owns_session = _init_ray(args.num_cpus)
@@ -146,7 +146,9 @@ def main(argv: list[str] | None = None) -> int:
             from virtuoso_quad_log_ray.pipelines.runs import run_dump
 
             man = run_dump(args.sf, args.out, epoch=epoch, cfg=_cfg(args))
-            print(f"dump: {man.quad_count} quads in {man.file_count} files @ {man.checkpoint}")
+            # a dump on a sink that has synced returns the committed sync
+            unit = "quads" if man.kind == "dump" else "records"
+            print(f"{man.kind}: {man.quad_count} {unit} in {man.file_count} files @ {man.checkpoint}")
         elif args.cmd == "sync":
             from virtuoso_quad_log_ray.pipelines.runs import run_sync
 

@@ -157,13 +157,37 @@ def changelog(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.Datas
 def changelog_stats(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.Dataset:
     """A2 — insert/delete tally over the changelog (the reference counts
     +/- RDF_QUAD rows per trx file as its consistency probe,
-    dump_nquads.sql:98-143)."""
-    return (
-        changelog(sf_dir, cfg)
-        .groupby("op")
-        .count()
-        .rename_columns({"count()": "n_records"})
+    dump_nquads.sql:98-143).
+
+    Each bucket task of :func:`changelog`'s shuffle tallies its own
+    changelog into one row per op, and the per-bucket tallies are summed
+    in one block, so no Ray aggregate runs. A ``groupby("op").count()``
+    over the changelog turned empty blocks into schemaless partial counts
+    and warned that a ``count()`` bundle had an empty schema."""
+    tallies = _paired(
+        quads_version(sf_dir, 1, cfg),
+        quads_version(sf_dir, 2, cfg),
+        lambda prev, new: _tally(diff_bucket(prev, new)),
     )
+    return tallies.repartition(1).map_batches(_sum_tallies, batch_format="pyarrow", batch_size=None)
+
+
+def _tally(rows: pa.Table) -> pa.Table:
+    """(op, n_records) with one row per op of a changelog block, or the
+    sum of such tallies; an op without records counts 0."""
+    if "n_records" in rows.column_names:
+        n = rows["n_records"]
+    else:
+        n = pa.array(np.ones(len(rows), dtype=np.int64))
+    counts = [pc.sum(pc.filter(n, pc.equal(rows["op"], op))).as_py() or 0 for op in ("-", "+")]
+    return pa.table({"op": ["-", "+"], "n_records": pa.array(counts, type=pa.int64())})
+
+
+def _sum_tallies(tallies: pa.Table) -> pa.Table:
+    """The changelog's tally: ops with no records are left out, as the
+    SQL ``GROUP BY op`` leaves them out."""
+    total = _tally(tallies)
+    return total.filter(pc.greater(total["n_records"], 0))
 
 
 def changelog_stats_sql() -> str:

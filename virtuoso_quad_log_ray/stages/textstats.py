@@ -539,10 +539,10 @@ def winnow_sql(k: int = WINNOW_K, w: int = WINNOW_W) -> str:
     per-window minima via a frame-bounded window function, short-document
     global minima, then per-url distinct + count + bit_xor.
 
-    The Ray path hashes UTF-8 BYTES while ``ord(substr(...))`` hashes code
-    points; they coincide exactly on the ASCII sandbox corpus (asserted by
-    the oracle gate itself — any non-ASCII text would surface as a value
-    mismatch, not silent drift).
+    Both sides hash UTF-8 BYTES: byte i of a page is read as
+    ``('0x' || substr(hex(encode(text)), 2*i-1, 2))::INTEGER`` over
+    ``octet_length(encode(text))`` bytes, so non-ASCII text hashes the same
+    as in the Ray path.
     """
     mod = 1 << 64
     powers = [pow(257, e, mod) for e in range(k)]
@@ -555,9 +555,10 @@ def winnow_sql(k: int = WINNOW_K, w: int = WINNOW_W) -> str:
     return (
         "WITH " + PAGES_SQL_CTE + ",\n"
         "chars AS (\n"
-        "  SELECT url, u.i AS i, ord(substr(text, CAST(u.i AS INT), 1)) AS b,\n"
-        "         length(text) AS len\n"
-        "  FROM pages, unnest(generate_series(1, length(text))) AS u(i)),\n"
+        "  SELECT url, u.i AS i,\n"
+        "         CAST('0x' || substr(hex(encode(text)), CAST(2 * u.i - 1 AS INT), 2) AS INTEGER) AS b,\n"
+        "         octet_length(encode(text)) AS len\n"
+        "  FROM pages, unnest(generate_series(1, octet_length(encode(text)))) AS u(i)),\n"
         "kg AS (\n"
         f"  SELECT url, i, len - {k - 1} AS m,\n"
         f"    CAST(({terms}) % {mod} AS UBIGINT) AS h\n"

@@ -24,7 +24,9 @@ CURSOR_FILE = "cursor.ts14"
 EPOCH_FILE = "epoch.ts14"
 
 # Filenames this engine owns and may delete on epoch rebuild (F9 guard).
-_OURS_PREFIXES = ("rdf_out_", "manifest-", POINTER, CURSOR_FILE, EPOCH_FILE, "part_def_", "part_end_", "vql_")
+_OURS_PREFIXES = (
+    "rdf_out_", "manifest-", POINTER, CURSOR_FILE, EPOCH_FILE, "part_def_", "part_run_", "vql_",
+)
 
 
 def read_cursor(root: str) -> str | None:

@@ -10,8 +10,10 @@ equivalents:
   validate_input   input table exists and carries the expected columns /
                    types (schema is the engine's 'configuration')
   validate_sink    manifest pointer resolves, listed files exist with the
-                   recorded sizes, cursor/epoch tokens well-formed,
-                   at most one provisional (part_end) bundle
+                   recorded sizes, cursor/epoch tokens well-formed; in the
+                   publish dir no committed file is in two zips and every
+                   run zip's files lie in the open chunk (the successor of
+                   the single-zip-end invariant)
   snapshot_probe   (count, max warc_ts) of the input — recorded at run
                    start and re-checked at the end: immutable Parquet makes
                    the reference's serializable-dump fencing free, but the
@@ -46,8 +48,9 @@ def validate_input(sf_dir: str) -> None:
         raise ValidationError(f"input schema missing columns: {sorted(missing)}")
 
 
-def validate_sink(root: str) -> None:
-    """C2/C4/C6 analog: committed state must be internally consistent."""
+def validate_sink(root: str, pub: str | None = None) -> None:
+    """C2/C4/C6 analog: committed state must be internally consistent.
+    ``pub`` is the publish dir whose zips are checked (default: ``root``)."""
     manifest = load_manifest(root)
     if manifest is not None:
         for e in manifest.files:
@@ -65,11 +68,12 @@ def validate_sink(root: str) -> None:
     epoch = ckpt.read_epoch(root)
     if epoch is not None and not epoch.strip():
         raise ValidationError("empty epoch token")
-    # single-open-bundle invariant (zipsynchronizer.py:244-247)
-    if os.path.isdir(root):
-        ends = [n for n in os.listdir(root) if n.startswith("part_end_") and n.endswith(".zip")]
-        if len(ends) > 1:
-            raise ValidationError(f"multiple provisional bundles: {sorted(ends)}")
+    if os.path.isdir(pub or root):
+        from virtuoso_quad_log_ray.pipelines.publish import bundle_problems
+
+        problems = bundle_problems(manifest.files if manifest else [], pub or root)
+        if problems:
+            raise ValidationError(problems[0])
 
 
 @dataclass(frozen=True)
