@@ -550,7 +550,7 @@ class TestBucketAlignedSync:
         import pyarrow.compute as pc
         import ray.data
 
-        from virtuoso_quad_log_ray.pipelines.materialize import _bucket_of
+        from virtuoso_quad_log_ray.stages.shuffle import _bucket_of
 
         sink, snaps = str(tmp_path / "sink"), str(tmp_path / "snaps")
         prev, new = self._quads(1), self._quads(2)

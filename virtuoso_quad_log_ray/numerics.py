@@ -84,7 +84,7 @@ except ImportError:  # pragma: no cover
 def hash_fingerprint() -> str:
     """Identity of the hash128 implementation actually in effect.
 
-    hash128 values feed PERSISTED bucket ids (materialize._bucket_of), and
+    hash128 values feed PERSISTED bucket ids (shuffle._bucket_of), and
     the same-epoch per-partition resume trusts those ids. A polars upgrade
     (seeded-hash output is version-dependent) or a worker without polars
     (md5 fallback) would silently re-key every bucket. Manifests record

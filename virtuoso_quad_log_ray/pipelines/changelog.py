@@ -20,7 +20,7 @@ Two callers feed the buckets:
   snapshot's shard for the same bucket is read straight from disk;
 * ``diff_quads`` and ``replay_state``: two arbitrary quad Datasets are
   tagged with a ``side`` column, unioned and keyed in one
-  ``materialize.by_bucket`` shuffle (``_paired``), the co-partitioning
+  ``shuffle.by_bucket`` shuffle (``_paired``), the co-partitioning
   that turns a shuffle join into local per-partition joins.
 
 Ordering within a patch file is (warc-ts-free) deterministic: ('-' before
@@ -120,7 +120,7 @@ def _paired(prev: ray.data.Dataset, new: ray.data.Dataset, fn) -> ray.data.Datas
     tagged with an int8 ``side`` (0 = prev, 1 = new), the two are unioned
     and keyed in ONE ``by_bucket`` shuffle — no join aggregators, so it
     runs on a 1-CPU cluster. An empty input yields an empty Dataset."""
-    from virtuoso_quad_log_ray.pipelines.materialize import by_bucket, default_n_buckets
+    from virtuoso_quad_log_ray.stages.shuffle import by_bucket, default_n_buckets
 
     def tagged(ds: ray.data.Dataset, side: int) -> ray.data.Dataset:
         def tag(b: pa.Table) -> pa.Table:
@@ -145,7 +145,7 @@ def diff_quads(
     """(prev, new) quad sets -> changelog (op, s, p, o, g): ``diff_bucket``
     per graph bucket of one shared shuffle (:func:`_paired`). ``cfg`` is
     accepted for call-site compatibility; the bucket count follows the
-    live cluster (``materialize.default_n_buckets``)."""
+    live cluster (``shuffle.default_n_buckets``)."""
     return _paired(prev, new, diff_bucket)
 
 

@@ -196,7 +196,7 @@ def chunk_plan(
     global sort (the reference's ORDER BY ?g, dump_nquads.sql:49, is
     unnecessary under hashing).
     """
-    from virtuoso_quad_log_ray.pipelines.materialize import by_bucket, default_n_buckets
+    from virtuoso_quad_log_ray.stages.shuffle import by_bucket, default_n_buckets
 
     maxq = max_quads_per_file or cfg.max_quads_per_file
 

@@ -16,16 +16,16 @@ scale:
   writing; only file metadata returns to the driver, which commits a
   manifest last (resumable: a re-run skips buckets already committed).
 
-This module is also the one home of that bucketed-sink protocol, which
-every file sink shares: :func:`by_bucket` (the keying and the single
-shuffle), :func:`write_atomic` (``.part`` + rename, md5 + length),
-:func:`reusable_entries` (the same-epoch resume gate) and
-:func:`commit_materialized` (the manifest of a non-append sink), composed
-by :func:`write_bucketed` for one-file-per-bucket sinks — the snapshot
-here, ``pages.write_jsonl_corpus`` and ``warc.write_warc_corpus``. The
-append-only patch sinks (``publish.write_rdfpatch``, ``runs._bucket_pass``)
-use the shuffle and the writer but commit through
-``publish.commit_patch_run``; ``kg.chunk_plan`` uses only the shuffle.
+This module is also the one home of the bucketed-sink protocol, which
+every file sink shares on top of the shuffle (``stages.shuffle.by_bucket``,
+which owns the keying and the single ``groupby``): :func:`write_atomic`
+(``.part`` + rename, md5 + length), :func:`reusable_entries` (the
+same-epoch resume gate) and :func:`commit_materialized` (the manifest of a
+non-append sink), composed by :func:`write_bucketed` for
+one-file-per-bucket sinks — the snapshot here, ``pages.write_jsonl_corpus``
+and ``warc.write_warc_corpus``. The append-only patch sinks
+(``publish.write_rdfpatch``, ``runs._bucket_pass``) use the shuffle and
+the writer but commit through ``publish.commit_patch_run``.
 """
 
 from __future__ import annotations
@@ -38,89 +38,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from virtuoso_quad_log_ray.stages.shuffle import by_bucket, default_n_buckets
 from virtuoso_quad_log_ray.state.manifest import (
     FileEntry,
     RunManifest,
     commit_manifest,
     load_manifest,
 )
-
-
-def _bucket_of(g: pa.ChunkedArray | pa.Array, n_buckets: int) -> pa.Array:
-    """Run-stable bucket id per graph IRI, fully vectorized.
-
-    With graph = url the graph column is ~all-unique, so a per-unique
-    Python hash loop is an O(corpus) scalar loop in the WRITE path; the
-    vectorized 128-bit hash (numerics-backed, process-stable within a
-    polars version) removes it. Resume note: bucket ids are stable within
-    an engine install; a polars major upgrade could re-key them, which the
-    per-epoch resume check tolerates (different epoch -> full rewrite).
-    """
-    import numpy as np
-
-    from virtuoso_quad_log_ray.numerics import hash128
-
-    if isinstance(g, pa.ChunkedArray):
-        g = g.combine_chunks()
-    h1, _ = hash128(g)
-    return pa.array((h1.view(np.uint64) % np.uint64(n_buckets)).view(np.int64))
-
-
-def default_n_buckets() -> int:
-    """Adaptive bucket count: ~16 buckets per live CPU, floor 64, cap 4096.
-
-    Measured at 35.8M quads / 32 CPUs: 64 buckets = 16-38s (high variance —
-    large sort-reduce partitions spill), 512 buckets = 9-10s stable. Small
-    buckets keep each sort-exchange reduce partition in memory and give
-    fine-grained per-partition resume; on a real cluster size buckets by
-    target bytes (~1-4 GB each) instead.
-    """
-    from virtuoso_quad_log_ray.stages.shuffle import cluster_cpus
-
-    return min(4096, max(64, cluster_cpus() * 16))
-
-
-def by_bucket(
-    ds: ray.data.Dataset,
-    key: str,
-    n_buckets: int,
-    fn,
-    *,
-    schema: pa.Schema | None = None,
-    also=(),
-) -> ray.data.Dataset:
-    """The one bucketed shuffle every sink shares: rows keyed by
-    ``hash(row[key]) % n_buckets``, ONE ``groupby(bucket).map_groups``,
-    and ``fn(bucket, rows)`` per bucket (``rows`` without the bucket
-    column) returning an Arrow table. Lazy: the caller executes it.
-
-    ``schema`` projects and casts rows before keying. ``also`` names
-    bucket ids that must get a task even when no row hashes there (a sync
-    must emit the '-' records of a bucket that emptied): one null-key
-    marker row of ``schema`` per id is unioned in before the groupby and
-    dropped before ``fn`` sees the rows."""
-
-    def keyed(b: pa.Table) -> pa.Table:
-        if schema is not None:
-            b = b.select(schema.names).cast(schema)
-        return b.append_column("bucket", _bucket_of(b[key], n_buckets))
-
-    def run(group: pa.Table) -> pa.Table:
-        bucket = int(group["bucket"][0].as_py())
-        rows = group.drop_columns(["bucket"])
-        if also:
-            rows = rows.filter(pc.is_valid(rows[key]))
-        return fn(bucket, rows)
-
-    ds = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-    if also:
-        ids = sorted(set(also))
-        markers = pa.table(
-            {f.name: pa.nulls(len(ids), f.type) for f in schema}
-            | {"bucket": pa.array(ids, type=pa.int64())}
-        )
-        ds = ds.union(ray.data.from_arrow(markers))
-    return ds.groupby("bucket").map_groups(run, batch_format="pyarrow")
 
 
 ENTRY_SCHEMA = pa.schema(

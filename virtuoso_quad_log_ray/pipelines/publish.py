@@ -13,7 +13,7 @@ reference components did serially:
   * the graph-splitter's dir-per-graph move (split-graphs.sh:73-141) —
     files land directly in ``<b64(graph)>/rdf_out_<ts14>-<seq>``.
 
-Atomicity: the shuffle (``materialize.by_bucket``) and the ``*.part`` +
+Atomicity: the shuffle (``shuffle.by_bucket``) and the ``*.part`` +
 rename writer (``materialize.write_atomic``) are the shared bucketed-sink
 helpers; files become visible only through the committed manifest
 (state/manifest.py) — the sham-sentinel protocol (T3) without sentinel
@@ -55,13 +55,7 @@ import pyarrow as pa
 import ray.data
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
-from virtuoso_quad_log_ray.pipelines.materialize import (
-    by_bucket,
-    default_n_buckets,
-    entries_table,
-    entry_of,
-    write_atomic,
-)
+from virtuoso_quad_log_ray.pipelines.materialize import entries_table, entry_of, write_atomic
 from virtuoso_quad_log_ray.rdfpatch import (
     TS14_ZERO,
     graph_b64,
@@ -70,6 +64,7 @@ from virtuoso_quad_log_ray.rdfpatch import (
     render_patch_lines,
     ts14_to_w3c,
 )
+from virtuoso_quad_log_ray.stages.shuffle import by_bucket, default_n_buckets
 from virtuoso_quad_log_ray.state.manifest import (
     FileEntry,
     RunManifest,
@@ -274,12 +269,10 @@ def resolve_bundler(spec: str | None = None):
     """User-extension surface (the reference's ``BUILDER_CLASS`` env →
     dynamic importlib load, rsync.py:29, syncdirector.py:60-61,
     DEPLOY.md:298-304): ``"module.path:ClassName"`` resolves to any class
-    with a ``Bundler``-compatible constructor + ``publish()``. Default (and
-    the ``GRAFT_BUNDLER`` env fallback) is the built-in zip Bundler."""
+    with a ``Bundler``-compatible constructor + ``publish()``. No spec (the
+    CLI's ``--bundler`` unset) gives the built-in zip Bundler."""
     import importlib
-    import os as _os
 
-    spec = spec or _os.environ.get("GRAFT_BUNDLER")
     if not spec:
         return Bundler
     mod_name, _, cls_name = spec.partition(":")

@@ -20,6 +20,7 @@ from ray.data.aggregate import Count, Max, Sum
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.numerics import half_away_int64, scaled_int_array
+from virtuoso_quad_log_ray.stages.shuffle import by_bucket, merge_buckets
 
 
 # --- Q1-style scan + groupby aggregate (A1 counters analog) ---------------
@@ -293,13 +294,7 @@ def latest_event_per_user(sf_dir: str) -> ray.data.Dataset:
     # Merge phase: bucket on user_id % nb and resolve EVERY user in a bucket
     # with one vectorized sort + segment-first — never map_groups over
     # millions of single-user groups (the chunk_plan scale-killer pattern).
-    nb = _merge_buckets()
-
-    def add_pk(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column("_pk", pa.array(uid % nb))
-
-    def merge_bucket(group: pa.Table) -> pa.Table:
+    def merge_bucket(_, group: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
             group,
             sort_keys=[
@@ -321,17 +316,7 @@ def latest_event_per_user(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        partial.map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_pk")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
-
-
-def _merge_buckets() -> int:
-    from virtuoso_quad_log_ray.stages.shuffle import cluster_cpus
-
-    return max(8, cluster_cpus() * 2)
+    return by_bucket(partial, "user_id", merge_buckets(), merge_bucket)
 
 
 LATEST_EVENT_SQL = """
@@ -362,13 +347,8 @@ def user_sessions(sf_dir: str) -> ray.data.Dataset:
     per-user map_groups (millions of single-user Python calls at scale).
     Event-time only; no wall-clock."""
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    nb = _merge_buckets()
 
-    def add_pk(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column("_pk", pa.array(uid % nb))
-
-    def sessions_bucket(group: pa.Table) -> pa.Table:
+    def sessions_bucket(_, group: pa.Table) -> pa.Table:
         order = pc.sort_indices(
             group, sort_keys=[("user_id", "ascending"), ("ts", "ascending")]
         )
@@ -395,11 +375,7 @@ def user_sessions(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ev.map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_pk")
-        .map_groups(sessions_bucket, batch_format="pyarrow")
-    )
+    return by_bucket(ev, "user_id", merge_buckets(), sessions_bucket)
 
 
 USER_SESSIONS_SQL = f"""
@@ -491,17 +467,13 @@ def asof_prev_event(
     (buckets = many users; salt a pathological single hot user by time
     range if one ever exceeds a task).
     """
-    from virtuoso_quad_log_ray.stages.shuffle import cluster_cpus
-
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
     )
-    nb = max(8, cluster_cpus() * 2)
     types = pa.array([left_type, right_type], type=pa.string())
 
-    def keyed(b: pa.Table) -> pa.Table:
+    def sided(b: pa.Table) -> pa.Table:
         b = b.filter(pc.is_in(b["event_type"], value_set=types))
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
                 "event_id": pc.cast(b["event_id"], pa.int64()),
@@ -509,11 +481,10 @@ def asof_prev_event(
                 "user_id": pc.cast(b["user_id"], pa.int64()),
                 # side 0 = right (as-of source), 1 = left (probe)
                 "side": pc.cast(pc.equal(b["event_type"], left_type), pa.int8()),
-                "_pk": pa.array(uid % nb),
             }
         )
 
-    def asof_bucket(g: pa.Table) -> pa.Table:
+    def asof_bucket(_, g: pa.Table) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         t = pc.cast(g["ts"], pa.timestamp("us")).to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
         s = g["side"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -542,11 +513,8 @@ def asof_prev_event(
             }
         )
 
-    return (
-        ev.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_pk")
-        .map_groups(asof_bucket, batch_format="pyarrow")
-    )
+    rows = ev.map_batches(sided, batch_format="pyarrow", zero_copy_batch=True)
+    return by_bucket(rows, "user_id", merge_buckets(), asof_bucket)
 
 
 def asof_prev_event_sql(left_type: str = "purchase", right_type: str = "click") -> str:
@@ -586,26 +554,12 @@ def range_window_counts(
     2^45 dwarfs any in-bucket time span). No per-row loop, no O(n*m)
     pair blowup; partitioning assumption: a bucket's rows fit one task.
     """
-    from virtuoso_quad_log_ray.stages.shuffle import cluster_cpus
-
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"]
     )
-    nb = max(8, cluster_cpus() * 2)
     win_us = np.int64(window_s) * 1_000_000
 
-    def keyed(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "event_id": pc.cast(b["event_id"], pa.int64()),
-                "ts": b["ts"],
-                "user_id": pc.cast(b["user_id"], pa.int64()),
-                "_pk": pa.array(uid % nb),
-            }
-        )
-
-    def window_bucket(g: pa.Table) -> pa.Table:
+    def window_bucket(_, g: pa.Table) -> pa.Table:
         u = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         t = (
             pc.cast(g["ts"], pa.timestamp("us"))
@@ -644,11 +598,7 @@ def range_window_counts(
             {"event_id": pa.array(eid), "n_recent": pa.array(hi - lo)}
         )
 
-    return (
-        ev.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_pk")
-        .map_groups(window_bucket, batch_format="pyarrow")
-    )
+    return by_bucket(ev, "user_id", merge_buckets(), window_bucket)
 
 
 def range_window_counts_sql(window_s: int = RANGE_WINDOW_S) -> str:

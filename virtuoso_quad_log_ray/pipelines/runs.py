@@ -185,15 +185,14 @@ def _bucket_pass(
     from virtuoso_quad_log_ray.pipelines.materialize import (
         bucket_id,
         bucket_rel,
-        by_bucket,
         commit_materialized,
-        default_n_buckets,
         entries_table,
         entry_of,
         write_snapshot_bucket,
     )
     from virtuoso_quad_log_ray.pipelines.publish import write_patch_files
     from virtuoso_quad_log_ray.stages.extract_triples import QUADS_SCHEMA
+    from virtuoso_quad_log_ray.stages.shuffle import by_bucket, default_n_buckets
 
     maxq = cfg.max_quads_per_file
     prev_dir, prev_man = prev or (None, None)
@@ -235,11 +234,8 @@ def _aligned_snapshot(root: str) -> tuple[str, RunManifest]:
     copy replaces the pointer (same state, same checkpoint), so the
     re-key runs once, not on every sync."""
     from virtuoso_quad_log_ray.numerics import hash_fingerprint
-    from virtuoso_quad_log_ray.pipelines.materialize import (
-        default_n_buckets,
-        materialize_quads,
-        read_materialized,
-    )
+    from virtuoso_quad_log_ray.pipelines.materialize import materialize_quads, read_materialized
+    from virtuoso_quad_log_ray.stages.shuffle import default_n_buckets
 
     name = current_snapshot(root)
     man = load_manifest(os.path.join(root, name))

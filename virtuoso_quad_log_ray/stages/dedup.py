@@ -36,6 +36,8 @@ from virtuoso_quad_log_ray.sources.pages import PAGES_SQL_CTE, read_pages
 from virtuoso_quad_log_ray.stages.shuffle import (
     actor_kwargs,
     bucket_aggregate,
+    by_bucket,
+    default_n_buckets,
     join_kwargs,
     self_join_input,
 )
@@ -616,7 +618,7 @@ def minhash_lsh_pairs(
     pages -> signatures (actor pool, materialized ONCE as the compact
     (url, sig) side table) -> per-band numeric bucket keys (band idx +
     64-bit band hash; 12 bytes/row of key material, NOT the signature)
-    -> ONE bucketed ``groupby(hash(band, bh) % nb).map_groups`` exchange:
+    -> ONE ``by_bucket`` exchange keyed on ``hash(band, bh) % nb``:
     each task sorts its partition by (band, bh, url), detects bucket runs
     vectorized, and emits candidate pairs per run — all (i < j) pairs for
     runs at or under ``lsh_band_bucket_cap``, STAR edges (run-min url
@@ -642,8 +644,6 @@ def minhash_lsh_pairs(
     share the all-zero signature and explode quadratically — ADVICE r1),
     matching the exact n-gram path which yields no pairs for them.
     """
-    from virtuoso_quad_log_ray.pipelines.materialize import default_n_buckets
-
     tau = threshold if threshold is not None else cfg.jaccard_threshold
     num_perm, bands = cfg.minhash_num_perm, cfg.minhash_bands
     rows_per_band = num_perm // bands
@@ -668,7 +668,7 @@ def minhash_lsh_pairs(
             "url": pa.array([], type=pa.string()),
             "band": pa.array([], type=pa.int32()),
             "bh": pa.array([], type=pa.int64()),
-            "bucket": pa.array([], type=pa.int64()),
+            "band_key": pa.array([], type=pa.int64()),
         }
     )
     _FNV = np.uint64(1099511628211)
@@ -688,20 +688,20 @@ def minhash_lsh_pairs(
         bh = bh.reshape(-1)
         band_col = np.tile(np.arange(bands, dtype=np.uint64), nd)
         # shuffle key: every (band, bh) bucket lands WHOLLY in one task
-        bucket = ((bh * _FNV + band_col) % np.uint64(nb)).view(np.int64)
+        band_key = (bh * _FNV + band_col).view(np.int64)
         return pa.table(
             {
                 "url": pc.take(b["url"], pa.array(np.repeat(np.arange(nd), bands))),
                 "band": pa.array(band_col.astype(np.int32)),
                 "bh": pa.array(bh.view(np.int64)),
-                "bucket": pa.array(bucket),
+                "band_key": pa.array(band_key),
             }
         )
 
     # pinned once (same contract as self_join_input): the emptiness gate
     # below consumes it and the bucketed groupby reads the same blocks —
     # without the pin the band-key map would execute twice. ~28 B/row
-    # (band, bh, bucket + url), never the signatures.
+    # (band, bh, band_key + url), never the signatures.
     band_rows = sig_tbl.map_batches(
         band_keys, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
@@ -713,7 +713,7 @@ def minhash_lsh_pairs(
         }
     )
 
-    def emit_bucket_pairs(group: pa.Table) -> pa.Table:
+    def emit_bucket_pairs(_, group: pa.Table) -> pa.Table:
         n = len(group)
         if n < 2:
             return _RAW_PAIR_EMPTY
@@ -772,10 +772,7 @@ def minhash_lsh_pairs(
                 }
             )
         )
-    raw_pairs = (
-        band_rows.groupby("bucket")
-        .map_groups(emit_bucket_pairs, batch_format="pyarrow")
-    )
+    raw_pairs = by_bucket(band_rows, "band_key", nb, emit_bucket_pairs)
     cand = _dedup_candidate_pairs(raw_pairs)
 
     # verify: hash-join candidates back to the compact signature table on

@@ -16,10 +16,10 @@ pipelines/kg.py):
     entity whose alias surface-form occurs as a token in text.
 
 Entity linking is alias-dictionary candidate generation (north_star): the
-dictionary is a broadcast small side — at sandbox size a module constant;
-at scale it is ``ray.put`` once and resolved in ``TripleExtractor.__init__``
-(once per actor), never per batch. The extractor is an actor-pool
-``map_batches`` class so a real model/tokenizer would load once per actor.
+dictionary is a small module constant, resolved into Arrow arrays once per
+worker process in ``TripleExtractor.__init__``, never per batch. The
+extractor runs as plain tasks fused with the upstream map chain (see
+:func:`extract_triples`).
 
 All per-batch work is Arrow-vectorized: tokenize via pc.split_pattern,
 flatten with list_parent_indices, dictionary membership via pc.is_in,
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 VOCAB = "http://example.org/vocab#"
@@ -65,18 +64,14 @@ QUADS_SCHEMA = pa.schema(
 
 
 class TripleExtractor:
-    """Actor-pool stage: (url, text, lang) batches -> (s, p, o, g) batches.
+    """(url, text, lang) batches -> (s, p, o, g) batches. The alias
+    dictionary is resolved once in __init__ (the reference ships its
+    transform logic to the server once per run the same way,
+    generate-rdfpatch.sh:124-159)."""
 
-    ``alias_ref`` is an object-store ref to the alias dict (broadcast once via
-    ray.put; every actor resolves it once in __init__ — the reference ships
-    its transform logic to the server once per run the same way,
-    generate-rdfpatch.sh:124-159).
-    """
-
-    def __init__(self, alias_ref: "ray.ObjectRef | None" = None):
-        pairs = ray.get(alias_ref) if alias_ref is not None else ALIAS_PAIRS
-        self._surfaces = pa.array([s for s, _ in pairs], type=pa.string())
-        self._canonicals = pa.array([c for _, c in pairs], type=pa.string())
+    def __init__(self):
+        self._surfaces = pa.array([s for s, _ in ALIAS_PAIRS], type=pa.string())
+        self._canonicals = pa.array([c for _, c in ALIAS_PAIRS], type=pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         url = batch["url"]
@@ -144,7 +139,7 @@ _TASK_EXTRACTOR: "TripleExtractor | None" = None
 
 
 def _extract_fn(batch: pa.Table) -> pa.Table:
-    """Task-mode transform: extractor built once per worker process (module
+    """The task transform: extractor built once per worker process (module
     singleton), then fused into the upstream task chain."""
     global _TASK_EXTRACTOR
     if _TASK_EXTRACTOR is None:
@@ -156,35 +151,18 @@ def extract_triples(
     pages_text: ray.data.Dataset,
     *,
     batch_size: int | None = None,
-    compute: str = "tasks",
 ) -> ray.data.Dataset:
     """pages (url, text, lang) -> quads (s, p, o, g).
 
-    ``compute="tasks"`` (default): the extractor state here is a small alias
-    dict, so the stage runs as plain tasks and FUSES with the upstream map
-    chain — no object-store hop between text extraction and triple
-    extraction. Measured 2x end-to-end throughput vs the actor pool at 16
-    cores (9.0M vs 4.5M quads/s): an actor stage always materializes its
-    input blocks through plasma.
-
-    ``compute="actors"``: the actor-pool form for a REAL model-bearing
-    extractor (weights loaded once per actor in __init__, alias dict
-    broadcast via ray.put) — the architecture a GPU/heavy-CPU OpenIE stage
-    needs; sizing via stages.shuffle.actor_kwargs. Prefer actors exactly
-    when per-worker state is expensive enough to dominate the plasma hop.
+    The extractor state is a small alias dict, so the stage runs as plain
+    tasks and FUSES with the upstream map chain — no object-store hop
+    between text extraction and triple extraction. Measured 2x end-to-end
+    throughput vs an actor pool at 16 cores (9.0M vs 4.5M quads/s): an
+    actor stage always materializes its input blocks through plasma.
     """
-    if compute == "tasks":
-        return pages_text.map_batches(
-            _extract_fn,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-    from virtuoso_quad_log_ray.stages.shuffle import actor_kwargs
-
-    alias_ref = ray.put(ALIAS_PAIRS)
     return pages_text.map_batches(
-        TripleExtractor,
-        fn_constructor_kwargs={"alias_ref": alias_ref},
-        **actor_kwargs(batch_size=batch_size),
+        _extract_fn,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=batch_size,
     )

@@ -1,7 +1,23 @@
-"""Shared shuffle/join sizing.
+"""The engine's one owner of bucketing and shuffle sizing.
 
-Ray Data's hash join spawns one aggregator ACTOR per partition (default 1
-logical CPU each). Two failure modes if sized naively:
+Bucketed shuffle. :func:`by_bucket` keys every row by ``bucket(row[key])
+% n``, runs ONE ``groupby(bucket).map_groups`` and calls ``fn(bucket,
+rows)`` once per bucket, so all of a bucket's keys are handled in one
+vectorized call (the graph-splitter's repartition by graph,
+split-graphs.sh:73-141, generalized to bounded fan-out). The bucket comes
+from the key column's type (:func:`_bucket_of`): a string key is hashed
+with ``numerics.hash128``, an integer key is its own hash,
+``uint64(key) % n``. Every hash-bucket groupby in the engine runs through
+it: the file sinks (snapshot, patch, JSONL, WARC), the changelog's paired
+shuffle, ``kg.chunk_plan``, :func:`bucket_aggregate`, and the per-key
+merges (relational latest/sessions/as-of/range, the top-k merge,
+``textstats.pack_plan``, the MinHash-LSH band exchange). Bucket counts:
+:func:`default_n_buckets` for on-disk layouts and corpus-sized exchanges,
+:func:`merge_buckets` for per-key merges.
+
+Join sizing. Ray Data's hash join spawns one aggregator ACTOR per
+partition (default 1 logical CPU each). Two failure modes if sized
+naively:
 
   * partitions > free cores  -> the aggregators never all schedule and the
     pipeline deadlocks silently (observed in this sandbox at 4-8 CPUs);
@@ -21,7 +37,11 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
+import ray.data
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 
@@ -84,6 +104,91 @@ def actor_kwargs(*, batch_size: int = 2048, max_pool: int | None = None) -> dict
     }
 
 
+def default_n_buckets() -> int:
+    """Adaptive bucket count: ~16 buckets per live CPU, floor 64, cap 4096.
+
+    Measured at 35.8M quads / 32 CPUs: 64 buckets = 16-38s (high variance —
+    large sort-reduce partitions spill), 512 buckets = 9-10s stable. Small
+    buckets keep each sort-exchange reduce partition in memory and give
+    fine-grained per-partition resume; on a real cluster size buckets by
+    target bytes (~1-4 GB each) instead.
+    """
+    return min(4096, max(64, cluster_cpus() * 16))
+
+
+def merge_buckets() -> int:
+    """Bucket count of the per-key merges (latest event, sessions, as-of,
+    range window, top-k): 2 per live CPU, floor 8."""
+    return max(8, cluster_cpus() * 2)
+
+
+def _bucket_of(key: pa.ChunkedArray | pa.Array, n_buckets: int) -> pa.Array:
+    """Run-stable bucket id per key, fully vectorized.
+
+    An integer key is its own hash: ``uint64(key) % n_buckets`` (int64
+    two's complement, so negative keys spread like the rest). Any other
+    key, in practice a string such as a graph IRI, is hashed with the
+    128-bit ``numerics.hash128`` (process-stable within a polars
+    version); with graph = url the graph column is ~all-unique, so a
+    per-unique Python hash loop would be an O(corpus) scalar loop in the
+    WRITE path. Resume note: string bucket ids are stable within an
+    engine install; a polars major upgrade could re-key them, which the
+    per-epoch resume check tolerates (different epoch -> full rewrite).
+    """
+    if isinstance(key, pa.ChunkedArray):
+        key = key.combine_chunks()
+    if pa.types.is_integer(key.type):
+        h1 = key.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+    else:
+        from virtuoso_quad_log_ray.numerics import hash128
+
+        h1, _ = hash128(key)
+    return pa.array((h1.view(np.uint64) % np.uint64(n_buckets)).view(np.int64))
+
+
+def by_bucket(
+    ds: ray.data.Dataset,
+    key: str,
+    n_buckets: int,
+    fn,
+    *,
+    schema: pa.Schema | None = None,
+    also=(),
+) -> ray.data.Dataset:
+    """The one bucketed shuffle: rows keyed by :func:`_bucket_of`
+    ``(row[key], n_buckets)``, ONE ``groupby(bucket).map_groups``, and
+    ``fn(bucket, rows)`` per bucket (``rows`` without the bucket column)
+    returning an Arrow table. Lazy: the caller executes it.
+
+    ``schema`` projects and casts rows before keying. ``also`` names
+    bucket ids that must get a task even when no row hashes there (a sync
+    must emit the '-' records of a bucket that emptied): one null-key
+    marker row of ``schema`` per id is unioned in before the groupby and
+    dropped before ``fn`` sees the rows."""
+
+    def keyed(b: pa.Table) -> pa.Table:
+        if schema is not None:
+            b = b.select(schema.names).cast(schema)
+        return b.append_column("bucket", _bucket_of(b[key], n_buckets))
+
+    def run(group: pa.Table) -> pa.Table:
+        bucket = int(group["bucket"][0].as_py())
+        rows = group.drop_columns(["bucket"])
+        if also:
+            rows = rows.filter(pc.is_valid(rows[key]))
+        return fn(bucket, rows)
+
+    ds = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
+    if also:
+        ids = sorted(set(also))
+        markers = pa.table(
+            {f.name: pa.nulls(len(ids), f.type) for f in schema}
+            | {"bucket": pa.array(ids, type=pa.int64())}
+        )
+        ds = ds.union(ray.data.from_arrow(markers))
+    return ds.groupby("bucket").map_groups(run, batch_format="pyarrow")
+
+
 def bucket_aggregate(
     ds: "ray.data.Dataset",
     keys: list[str],
@@ -97,40 +202,22 @@ def bucket_aggregate(
     Ray's native ``groupby().aggregate()`` sorts, then combines row by row
     in Python — measured ~100us/row on 2-int64-key Sum+Min aggregates (the
     n-gram pair phase burned ~160 CPU-seconds aggregating ~2M rows; this
-    path does the same work in ~3s wall). Rows are hash-partitioned into
-    ``n_buckets`` coarse buckets (each key lands wholly in one bucket, so
-    per-bucket aggregation is globally correct), and each bucket runs ONE
-    pyarrow ``Table.group_by().aggregate()`` — C++ hash aggregation. Same
-    exchange volume as the native path, vectorized combine cost.
+    path does the same work in ~3s wall). Rows go through :func:`by_bucket`
+    into ``n_buckets`` coarse buckets (each key lands wholly in one bucket,
+    so per-bucket aggregation is globally correct), and each bucket runs
+    ONE pyarrow ``Table.group_by().aggregate()`` — C++ hash aggregation.
+    Same exchange volume as the native path, vectorized combine cost.
+    Sort partitions holding no bucket still emit EMPTY blocks with an
+    EMPTY schema (zero columns); see scrub_empty_blocks below for why that
+    matters to downstream joins.
 
-    ``hash_col`` names an int64 column uniformly distributed across keys
+    ``hash_col`` names an integer column uniformly distributed across keys
     (e.g. a 64-bit content hash that determines the key); defaults to
     keys[0]. Output columns: keys + pyarrow's "{col}_{fn}" names.
     """
-    import numpy as np
-    import pyarrow as pa
-
     nb = n_buckets or max(4, cluster_cpus())
-    hc = hash_col or keys[0]
-
-    def add_pk(b: pa.Table) -> pa.Table:
-        v = b[hc].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-        pk = (v.view(np.uint64) % np.uint64(nb)).view(np.int64)
-        return b.append_column("_pk", pa.array(pk))
-
-    def combine(group: pa.Table) -> pa.Table:
-        return group.drop_columns(["_pk"]).group_by(keys).aggregate(aggs)
-
-    # num_partitions=nb aligns the sort-shuffle's output partitions with the
-    # bucket count (the default over-partitions ~2x: 64 partitions for 32
-    # buckets, half guaranteed empty) — measured faster on every aggregate
-    # path. Partitions holding no bucket still emit EMPTY blocks with an
-    # EMPTY schema (zero columns); see scrub_empty_blocks below for why that
-    # matters to downstream joins.
-    return (
-        ds.map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_pk", num_partitions=nb)
-        .map_groups(combine, batch_format="pyarrow")
+    return by_bucket(
+        ds, hash_col or keys[0], nb, lambda _, rows: rows.group_by(keys).aggregate(aggs)
     )
 
 

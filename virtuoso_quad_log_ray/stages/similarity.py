@@ -26,7 +26,9 @@ from virtuoso_quad_log_ray.numerics import (
 from virtuoso_quad_log_ray.stages.shuffle import (
     actor_kwargs,
     bucket_aggregate,
+    by_bucket,
     join_kwargs,
+    merge_buckets,
     scrub_empty_blocks,
     self_join_input,
 )
@@ -123,15 +125,8 @@ def _topk_merge(partial: ray.data.Dataset, k: int) -> ray.data.Dataset:
     map_groups (one Python call per query does not survive large query
     sets). Self-matches are dropped; ties break on neighbor_id.
     """
-    from virtuoso_quad_log_ray.stages.shuffle import cluster_cpus
 
-    nb = max(8, cluster_cpus() * 2)
-
-    def add_pk(b: pa.Table) -> pa.Table:
-        qid = b["query_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column("_pk", pa.array(qid % nb))
-
-    def merge_bucket(group: pa.Table) -> pa.Table:
+    def merge_bucket(_, group: pa.Table) -> pa.Table:
         g = group.filter(pc.not_equal(group["query_id"], group["neighbor_id"]))
         order = pc.sort_indices(
             g,
@@ -157,11 +152,7 @@ def _topk_merge(partial: ray.data.Dataset, k: int) -> ray.data.Dataset:
             }
         )
 
-    return (
-        partial.map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_pk")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
+    return by_bucket(partial, "query_id", merge_buckets(), merge_bucket)
 
 
 def ann_topk(

@@ -19,7 +19,7 @@ import ray.data
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.numerics import half_away_int64, hash128 as _h128
 from virtuoso_quad_log_ray.sources.pages import PAGES_SQL_CTE, read_pages
-from virtuoso_quad_log_ray.stages.shuffle import actor_kwargs
+from virtuoso_quad_log_ray.stages.shuffle import actor_kwargs, by_bucket
 
 STOPWORDS = ("the", "a")
 
@@ -1144,7 +1144,7 @@ def pack_plan(
             }
         )
 
-    def scan(group: pa.Table) -> pa.Table:
+    def scan(_, group: pa.Table) -> pa.Table:
         order = pc.sort_indices(group["url"])
         g = group.take(order)
         ntok = g["n_tokens"].to_numpy(zero_copy_only=False)
@@ -1158,11 +1158,8 @@ def pack_plan(
             }
         )
 
-    return (
-        pages.map_batches(counted, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(scan, batch_format="pyarrow")
-    )
+    plan_rows = pages.map_batches(counted, batch_format="pyarrow", zero_copy_batch=True)
+    return by_bucket(plan_rows, "shard", n_shards, scan)
 
 
 def pack_plan_sql(budget: int = PACK_BUDGET_TOKENS, n_shards: int = PACK_SHARDS) -> str:
