@@ -41,12 +41,13 @@ def to_arrow(result):
     import ray.data
 
     if isinstance(result, ray.data.Dataset):
-        tables = [ray.get(r) for r in result.to_arrow_refs()]
-        # aggregate stages can emit empty blocks with an empty schema;
-        # driver-side conversions (to_pandas/take_all) skip them, we do too
-        tables = [t for t in tables if t.num_columns > 0]
+        from virtuoso_quad_log_ray.stages.shuffle import blocks_of
+
+        # one execution; zero-row blocks (aggregate stages can emit them
+        # with an empty schema) are skipped, as to_pandas/take_all do
+        tables = blocks_of(result)
         if not tables:  # fully empty dataset: recover the schema if any
-            sch = result.schema(fetch_if_missing=False)
+            sch = result.schema()
             base = getattr(sch, "base_schema", None) if sch is not None else None
             return base.empty_table() if base is not None else pa.table({})
         return pa.concat_tables(tables).combine_chunks()

@@ -729,6 +729,8 @@ from tests.conftest import SF_SMALL
 from virtuoso_quad_log_ray.pipelines import changelog as cl
 from virtuoso_quad_log_ray.pipelines import relational as rel
 from virtuoso_quad_log_ray.pipelines import runs
+from virtuoso_quad_log_ray.stages import canonicalize as cz
+from virtuoso_quad_log_ray.stages import dedup as dd
 
 print("changelog", cl.changelog(SF_SMALL).count(), flush=True)
 print("replay_state", cl.replay_state(SF_SMALL).count(), flush=True)
@@ -736,28 +738,41 @@ sink = os.path.join(sys.argv[1], "sink")
 runs.run_dump(SF_SMALL, sink, epoch="E1")
 print("run_sync", runs.run_sync(SF_SMALL, sink, checkpoint="20240101010101").quad_count, flush=True)
 print("customers_no_urgent_orders", rel.customers_no_urgent_orders(SF_SMALL).count(), flush=True)
+pairs = dd.ngram_jaccard_pairs(SF_SMALL)
+print("ngram_jaccard_pairs", pairs.count(), flush=True)
+# driver_threshold=0 forces the distributed fixpoint: every round joins
+components = cz.connected_components(pairs, driver_threshold=0)
+print("connected_components", components.count(), flush=True)
 ray.shutdown()
 """
 
 
 def test_recompute_paths_finish_at_one_cpu(tmp_path, oracle):
     """The recompute changelog (``changelog``, ``replay_state``, a plain
-    ``run_dump`` + ``run_sync``) and a relational ``left_anti`` join must
-    finish on a 1-CPU Ray cluster with oracle-equal row counts: the
-    changelog forms run on the shared bucket shuffle, and join
-    aggregators request no CPU when there is only one."""
+    ``run_dump`` + ``run_sync``), a relational ``left anti`` join, the
+    n-gram self-join and the forced connected-components fixpoint must
+    finish on a 1-CPU Ray cluster with oracle-equal row counts: every one
+    of them, joins included, runs on the bucketed shuffle, and no join
+    starts aggregator actors that could hold the only CPU."""
+    from virtuoso_quad_log_ray.config import DEFAULT_CONFIG as cfg
     from virtuoso_quad_log_ray.pipelines import changelog as cl
     from virtuoso_quad_log_ray.pipelines import relational as rel
+    from virtuoso_quad_log_ray.stages import dedup as dd
 
     def n(sql: str) -> int:
         return oracle.sql(f"SELECT count(*) FROM ({sql})").fetchone()[0]
 
     n_log = n(cl.changelog_sql())
+    jp = dd.ngram_jaccard_sql(cfg.jaccard_threshold, cfg.shingle_size)
     want = {
         "changelog": n_log,
         "replay_state": n(cl.replay_state_sql()),
         "run_sync": n_log,
         "customers_no_urgent_orders": n(rel.CUSTOMERS_NO_URGENT_SQL),
+        "ngram_jaccard_pairs": n(jp),
+        "connected_components": n(
+            f"SELECT url_a FROM ({jp}) UNION SELECT url_b FROM ({jp})"
+        ),
     }
     out, report = _run_at_one_cpu(ONE_CPU_RECOMPUTE_SCRIPT, tmp_path, "recompute paths")
     got = {}

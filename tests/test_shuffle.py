@@ -1,5 +1,7 @@
 """shuffle.by_bucket — the one bucketed shuffle every sink and per-key
-operator runs on — called directly, for a string and an integer key."""
+operator runs on — and its two-sided form shuffle.co_bucket, which every
+join runs on, called directly for a string and an integer key; plus the
+one-execution block reader shuffle.blocks_of."""
 
 import numpy as np
 import pyarrow as pa
@@ -63,3 +65,128 @@ def test_by_bucket_routes_every_row_once_to_its_bucket(kind):
     for b in also:
         assert [c["rids"] for c in calls if c["called"] == b] == [[]], b
     assert set(buckets) == hit | set(also)
+
+
+def _blocks(t: pa.Table, size: int):
+    import ray.data
+
+    return ray.data.from_arrow([t.slice(i, size) for i in range(0, len(t), size)])
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("kind", ["string", "int64"])
+def test_co_bucket_routes_every_row_once_with_typed_sides(kind):
+    """Every row of each side reaches ``fn`` exactly once, in the bucket
+    ``_bucket_of`` gives it; a side with no rows in a bucket arrives with
+    zero rows and its own columns."""
+    from virtuoso_quad_log_ray.stages.shuffle import blocks_of, co_bucket
+
+    keys = _keys(kind)
+    expected = _expected_buckets(keys)
+    left = pa.table({"k": keys, "lid": pa.array(range(N_ROWS), type=pa.int64())})
+    # the right side holds rows in only a few buckets
+    few = [i for i in range(N_ROWS) if int(expected[i]) in set(expected[:3].tolist())]
+    right = pa.table(
+        {"k": keys.take(few), "rid": pa.array(few, type=pa.int32()), "w": [1.5] * len(few)}
+    )
+
+    def fn(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "lids": pa.array([lt["lid"].to_pylist()], type=pa.list_(pa.int64())),
+                "rids": pa.array([rt["rid"].to_pylist()], type=pa.list_(pa.int64())),
+                "lcols": [",".join(f"{f.name}:{f.type}" for f in lt.schema)],
+                "rcols": [",".join(f"{f.name}:{f.type}" for f in rt.schema)],
+            }
+        )
+
+    calls = pa.concat_tables(
+        blocks_of(co_bucket(_blocks(left, 10), _blocks(right, 4), "k", N_BUCKETS, fn))
+    ).to_pylist()
+
+    assert sorted(i for c in calls for i in c["lids"]) == list(range(N_ROWS))
+    assert sorted(i for c in calls for i in c["rids"]) == few
+    buckets = []
+    for c in calls:
+        assert c["lcols"] == f"k:{keys.type},lid:int64"
+        assert c["rcols"] == f"k:{keys.type},rid:int32,w:double"
+        here = {int(expected[i]) for i in c["lids"] + c["rids"]}
+        assert len(here) <= 1, "one call mixed two buckets"
+        buckets.extend(here)
+    assert len(buckets) == len(set(buckets)), "one bucket got two calls"
+    # the left side has rows, so it reaches every bucket: one call each
+    assert len(calls) == N_BUCKETS
+    assert sum(1 for c in calls if not c["rids"]) == N_BUCKETS - len(set(expected[:3].tolist()))
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("kind", ["string", "int64"])
+@pytest.mark.parametrize("join_type", ["inner", "left anti", "left outer"])
+def test_co_bucket_joins_equal_one_table_join(kind, join_type):
+    """Per-bucket ``arrow_join`` equals one whole-table ``pa.Table.join``,
+    duplicate keys, unmatched keys and suffixed column clashes included."""
+    from virtuoso_quad_log_ray.stages.shuffle import arrow_join, blocks_of, co_bucket
+
+    keys = _keys(kind)
+    left = pa.table({"k": keys, "v": pa.array(range(N_ROWS), type=pa.int64())})
+    # duplicate right keys, and only every third left key has a match
+    idx = [i for i in range(0, N_ROWS, 3)] * 2
+    right = pa.table({"k": keys.take(idx), "v": pa.array([i * 10 for i in range(len(idx))])})
+    kw = {"left_suffix": "_l", "right_suffix": "_r"}
+    want = left.join(right, keys="k", join_type=join_type, **kw)
+    fn = arrow_join("k", join_type, **kw)
+    got = blocks_of(co_bucket(_blocks(left, 7), _blocks(right, 5), "k", N_BUCKETS, fn))
+    got = pa.concat_tables(got).select(want.column_names)
+    order = [(c, "ascending") for c in want.column_names]
+    assert got.sort_by(order).equals(want.sort_by(order))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_to_arrow_runs_each_block_once(tmp_path):
+    """``conftest.to_arrow`` (``shuffle.blocks_of``) executes a lazy
+    pipeline once: one UDF call per block. ``Dataset.to_arrow_refs`` runs
+    it a second time for its schema fetch."""
+    import ray.data
+
+    from tests.conftest import to_arrow
+
+    log = tmp_path / "calls"
+
+    def udf(b: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("call\n")
+        return b
+
+    ds = ray.data.range(80, override_num_blocks=8).map_batches(
+        udf, batch_format="pyarrow", batch_size=None
+    )
+    assert len(to_arrow(ds)) == 80
+    assert log.read_text().count("call") == 8
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("empty_side", ["prev", "new"])
+def test_diff_quads_against_an_empty_side(empty_side):
+    """A quad set diffed against an empty one: every quad is a '+' record
+    (empty prev) or a '-' record (empty new)."""
+    import ray.data
+
+    from tests.conftest import to_arrow
+    from virtuoso_quad_log_ray.pipelines.changelog import diff_quads
+    from virtuoso_quad_log_ray.stages.extract_triples import QUADS_SCHEMA
+
+    quads = pa.table(
+        {
+            "s": [f"s{i}" for i in range(N_ROWS)],
+            "p": ["p"] * N_ROWS,
+            "o": [f"o{i % 7}" for i in range(N_ROWS)],
+            "g": [f"http://example.org/g{i % 11}" for i in range(N_ROWS)],
+        },
+        schema=QUADS_SCHEMA,
+    )
+    v = _blocks(quads, 9)
+    empty = ray.data.from_arrow(QUADS_SCHEMA.empty_table())
+    log = to_arrow(diff_quads(empty, v) if empty_side == "prev" else diff_quads(v, empty))
+    assert set(log["op"].to_pylist()) == {"+" if empty_side == "prev" else "-"}
+    order = [(c, "ascending") for c in QUADS_SCHEMA.names]
+    assert log.select(QUADS_SCHEMA.names).sort_by(order).equals(quads.sort_by(order))

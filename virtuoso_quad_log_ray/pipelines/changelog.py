@@ -19,9 +19,9 @@ Two callers feed the buckets:
   ``groupby(bucket)`` task that writes the new snapshot's shard, the prior
   snapshot's shard for the same bucket is read straight from disk;
 * ``diff_quads`` and ``replay_state``: two arbitrary quad Datasets are
-  tagged with a ``side`` column, unioned and keyed in one
-  ``shuffle.by_bucket`` shuffle (``_paired``), the co-partitioning
-  that turns a shuffle join into local per-partition joins.
+  co-partitioned by graph in one ``shuffle.co_bucket`` exchange
+  (``_paired``), the co-partitioning that turns a shuffle join into local
+  per-partition joins.
 
 Ordering within a patch file is (warc-ts-free) deterministic: ('-' before
 '+', then s, p, o, g), mirroring retract-then-assert RDF-patch application
@@ -111,30 +111,22 @@ def diff_bucket(prev: pa.Table, new: pa.Table) -> pa.Table:
     return pa.concat_tables([with_op(deleted, "-"), with_op(added, "+")])
 
 
-_PAIRED_SCHEMA = QUADS_SCHEMA.append(pa.field("side", pa.int8()))
-
-
 def _paired(prev: ray.data.Dataset, new: ray.data.Dataset, fn) -> ray.data.Dataset:
     """Co-partition two quad Datasets by graph and run ``fn(prev_rows,
-    new_rows)`` (two (s, p, o, g) tables) once per bucket: each side is
-    tagged with an int8 ``side`` (0 = prev, 1 = new), the two are unioned
-    and keyed in ONE ``by_bucket`` shuffle — no join aggregators, so it
-    runs on a 1-CPU cluster. An empty input yields an empty Dataset."""
-    from virtuoso_quad_log_ray.stages.shuffle import by_bucket, default_n_buckets
+    new_rows)`` (two (s, p, o, g) tables) once per bucket of ONE
+    ``co_bucket`` exchange — no join aggregators, so it runs on a 1-CPU
+    cluster. A side with no rows at all is the empty quad table; when
+    both are empty the result is an empty Dataset."""
+    from virtuoso_quad_log_ray.stages.shuffle import co_bucket, default_n_buckets
 
-    def tagged(ds: ray.data.Dataset, side: int) -> ray.data.Dataset:
-        def tag(b: pa.Table) -> pa.Table:
-            return b.append_column("side", pa.array(np.full(len(b), side, dtype=np.int8)))
+    def quads(rows: pa.Table | None) -> pa.Table:
+        if rows is None:
+            return QUADS_SCHEMA.empty_table()
+        return rows.select(QUADS_SCHEMA.names).cast(QUADS_SCHEMA)
 
-        return ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-
-    def run(bucket: int, rows: pa.Table) -> pa.Table:
-        is_new = pc.equal(rows["side"], 1)
-        quads = rows.select(QUAD_COLS)
-        return fn(quads.filter(pc.invert(is_new)), quads.filter(is_new))
-
-    both = tagged(prev, 0).union(tagged(new, 1))
-    return by_bucket(both, "g", default_n_buckets(), run, schema=_PAIRED_SCHEMA)
+    return co_bucket(
+        prev, new, "g", default_n_buckets(), lambda p, n: fn(quads(p), quads(n))
+    )
 
 
 def diff_quads(

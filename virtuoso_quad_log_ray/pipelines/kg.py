@@ -298,9 +298,10 @@ def entity_degree(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.D
     """
     from virtuoso_quad_log_ray.numerics import hash128 as _h128
     from virtuoso_quad_log_ray.stages.shuffle import (
+        arrow_join,
         bucket_aggregate,
-        join_kwargs,
-        scrub_empty_blocks,
+        co_bucket,
+        merge_buckets,
     )
 
     links = entity_links(sf_dir, cfg)
@@ -328,15 +329,11 @@ def entity_degree(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.D
             }
         )
 
-    counts = scrub_empty_blocks(
-        bucket_aggregate(
-            links.map_batches(
-                count_partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["canon"],
-            [("links_p", "sum"), ("pages_p", "sum")],
-            hash_col="h1",
-        )
+    counts = bucket_aggregate(
+        links.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["canon"],
+        [("links_p", "sum"), ("pages_p", "sum")],
+        hash_col="h1",
     ).map_batches(
         lambda b: pa.table(
             {
@@ -372,15 +369,11 @@ def entity_degree(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.D
             }
         )
 
-    surfaces = scrub_empty_blocks(
-        bucket_aggregate(
-            distinct_surfaces.map_batches(
-                surface_counts, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["canon"],
-            [("s_p", "sum")],
-            hash_col="h1",
-        )
+    surfaces = bucket_aggregate(
+        distinct_surfaces.map_batches(surface_counts, batch_format="pyarrow", zero_copy_batch=True),
+        ["canon"],
+        [("s_p", "sum")],
+        hash_col="h1",
     ).map_batches(
         lambda b: pa.table(
             {"canon": b["canon"], "n_surfaces": pc.cast(b["s_p_sum"], pa.int64())}
@@ -389,9 +382,7 @@ def entity_degree(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.D
         zero_copy_batch=True,
     )
 
-    out = counts.join(
-        surfaces, join_type="inner", on=("canon",), **join_kwargs(cfg, small=True)
-    )
+    out = co_bucket(counts, surfaces, "canon", merge_buckets(), arrow_join("canon"))
     return out.map_batches(
         lambda b: b.select(["canon", "n_links", "n_pages", "n_surfaces"]),
         batch_format="pyarrow",

@@ -20,7 +20,7 @@ from ray.data.aggregate import Count, Max, Sum
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.numerics import half_away_int64, scaled_int_array
-from virtuoso_quad_log_ray.stages.shuffle import by_bucket, merge_buckets
+from virtuoso_quad_log_ray.stages.shuffle import arrow_join, by_bucket, co_bucket, merge_buckets
 
 
 # --- Q1-style scan + groupby aggregate (A1 counters analog) ---------------
@@ -862,11 +862,10 @@ def customers_no_urgent_orders(
     """Customers with NO 1-URGENT order — the anti-join half of the
     changelog's state diff (J1: deletions = prior keys absent from the new
     state, which pipelines/changelog.py takes per graph bucket with Arrow)
-    expressed through Ray's native ``left_anti`` hash join, keyed on the
-    int custkey.
+    expressed as a ``left anti`` Arrow join per ``co_bucket`` bucket, keyed
+    on the int custkey.
     The probe side is pruned at the read (priority predicate pushed into the
     Parquet scan) and ships only the key column."""
-    from virtuoso_quad_log_ray.stages.shuffle import join_kwargs
 
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey", "c_mktsegment"]
@@ -881,8 +880,8 @@ def customers_no_urgent_orders(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    return cust.join(
-        o_keys, join_type="left_anti", on=("c_custkey",), **join_kwargs(cfg)
+    return co_bucket(
+        cust, o_keys, "c_custkey", merge_buckets(), arrow_join("c_custkey", "left anti")
     ).map_batches(
         lambda b: pa.table(
             {

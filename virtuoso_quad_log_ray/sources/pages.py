@@ -112,9 +112,7 @@ def _synth_batch(batch: pa.Table) -> pa.Table:
     return out.cast(PAGES_SCHEMA)
 
 
-def read_pages_parquet(
-    path: str, *, include_html: bool = True, num_blocks: int | None = None
-) -> ray.data.Dataset:
+def read_pages_parquet(path: str, *, include_html: bool = True) -> ray.data.Dataset:
     """Read a REAL pages Parquet table/directory with the authoritative
     input schema ``(url, warc_ts, html, text, lang)`` (BASELINE.json
     input_hint) — the production entrypoint when the corpus already exists
@@ -132,7 +130,7 @@ def read_pages_parquet(
     return ray.data.read_parquet(
         path,
         columns=cols,
-        override_num_blocks=num_blocks or max(16, cluster_cpus() * 2),
+        override_num_blocks=max(16, cluster_cpus() * 2),
     )
 
 
@@ -327,10 +325,9 @@ def read_jsonl_corpus(out_root: str, *, default_lang: str = "und") -> ray.data.D
 
 def corpus_num_rows(sf_dir: str) -> int:
     """Documents-table row count from the Parquet FOOTER — metadata only,
-    no data read, no pipeline execution. Join pipelines use it to
-    short-circuit over an empty corpus (Ray's hash join cannot resolve key
-    fields over a fully empty, schemaless input) without paying an extra
-    corpus-sized count() pass on the non-empty path."""
+    no data read, no pipeline execution. ``dedup_incremental_bloom`` uses
+    it to return a typed empty result over an empty corpus without paying
+    an extra corpus-sized count() pass on the non-empty path."""
     import os
 
     import pyarrow.parquet as pq

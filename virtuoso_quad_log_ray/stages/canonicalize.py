@@ -44,9 +44,11 @@ from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.sources.pages import read_pages
 from virtuoso_quad_log_ray.stages.dedup import _hash128, ngram_jaccard_pairs, ngram_jaccard_sql
 from virtuoso_quad_log_ray.stages.shuffle import (
+    arrow_join,
+    blocks_of,
     bucket_aggregate,
-    join_kwargs,
-    scrub_empty_blocks,
+    co_bucket,
+    merge_buckets,
 )
 
 
@@ -84,10 +86,7 @@ def _min_label(ds: ray.data.Dataset) -> ray.data.Dataset:
 
     keyed = ds.map_batches(add_h, batch_format="pyarrow", zero_copy_batch=True)
     agg = bucket_aggregate(keyed, ["node"], [("label", "min")], hash_col="nh")
-    # every consumer joins or sorts this node-sized table (fixpoint rounds
-    # re-materialize it anyway): drop the sort-shuffle's schemaless empty
-    # blocks here so they never reach a hash join partition
-    return scrub_empty_blocks(agg).map_batches(
+    return agg.map_batches(
         lambda b: pa.table({"node": b["node"], "label": b["label_min"]}),
         batch_format="pyarrow",
         zero_copy_batch=True,
@@ -133,6 +132,16 @@ def _rank_nodes(distinct_nodes: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
+def _ids_as(node_ids: ray.data.Dataset, node: str, nid: str) -> ray.data.Dataset:
+    """The (node, nid) table of :func:`_rank_nodes` with its two columns
+    renamed to ``node`` and ``nid``, the join side of an id translation."""
+    return node_ids.map_batches(
+        lambda b: pa.table({node: b["node"], nid: b["nid"]}),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+
+
 def connected_components(
     pairs: ray.data.Dataset,
     cfg: EngineConfig = DEFAULT_CONFIG,
@@ -152,19 +161,15 @@ def connected_components(
     production hybrid (e.g. GraphFrames/Spark CC ends with a local solve);
     both paths produce identical output (asserted in tests).
     """
-    # consumed 2-3x below (count + either path) AND joined against node_ids
-    # in the fixpoint path: materialize once and drop any schemaless empty
-    # blocks riding along from the pair aggregate's sort-shuffle
-    pairs = scrub_empty_blocks(pairs)
+    # consumed 2-3x below (count + either path): materialize once
+    pairs = pairs.materialize()
     n_edges = pairs.count()
     if n_edges <= driver_threshold:
-        edges_t = pa.concat_tables(
-            [
-                t.select(["url_a", "url_b"])
-                for t in (ray.get(r) for r in pairs.to_arrow_refs())
-                if t.num_columns
-            ]
-        )
+        edges = [
+            (a, b)
+            for t in blocks_of(pairs)
+            for a, b in zip(t["url_a"].to_pylist(), t["url_b"].to_pylist())
+        ]
         parent: dict[str, str] = {}
 
         def find(x: str) -> str:
@@ -175,13 +180,13 @@ def connected_components(
                 parent[x], x = root, parent[x]
             return root
 
-        for a, b in zip(edges_t["url_a"].to_pylist(), edges_t["url_b"].to_pylist()):
+        for a, b in edges:
             ra, rb = find(a), find(b)
             if ra != rb:
                 # union by label order keeps canon = component min
                 lo, hi = (ra, rb) if ra < rb else (rb, ra)
                 parent[hi] = lo
-        nodes = sorted(set(parent) | {u for u in edges_t["url_a"].to_pylist()} | {u for u in edges_t["url_b"].to_pylist()})
+        nodes = sorted(set(parent) | {u for edge in edges for u in edge})
         table = pa.table(
             {
                 "url": pa.array(nodes, type=pa.string()),
@@ -197,7 +202,8 @@ def connected_components(
     # on fixed-width ints, and — because rank order == url order —
     # ``min nid`` still yields the lexicographic canon url. Strings cross
     # a shuffle exactly three times total (two edge-translation joins in,
-    # one label-translation join out), independent of round count.
+    # one label-translation join out), independent of round count. Every
+    # join is a ``co_bucket`` exchange over ``merge_buckets()`` buckets.
     def endpoint_nodes(b: pa.Table) -> pa.Table:
         nodes = pa.concat_arrays(
             [
@@ -214,25 +220,12 @@ def connected_components(
     )
     node_ids = _rank_nodes(distinct_nodes).materialize()  # (node, nid)
 
-    jk = join_kwargs(cfg)
-    int_pairs = pairs.join(
-        node_ids.map_batches(
-            lambda b: pa.table({"url_a": b["node"], "aid": b["nid"]}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        join_type="inner",
-        on=("url_a",),
-        **jk,
-    ).join(
-        node_ids.map_batches(
-            lambda b: pa.table({"url_b": b["node"], "bid": b["nid"]}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        join_type="inner",
-        on=("url_b",),
-        **jk,
+    nb = merge_buckets()
+    with_a = co_bucket(
+        pairs, _ids_as(node_ids, "url_a", "aid"), "url_a", nb, arrow_join("url_a")
+    )
+    int_pairs = co_bucket(
+        with_a, _ids_as(node_ids, "url_b", "bid"), "url_b", nb, arrow_join("url_b")
     )
 
     def symmetrize(b: pa.Table) -> pa.Table:
@@ -254,7 +247,9 @@ def connected_components(
         )
 
     edges = int_pairs.map_batches(symmetrize, batch_format="pyarrow", zero_copy_batch=True)
-    edges = edges.materialize()  # reused every round; pin once
+    # reused every round: compact (each block is a split task every round)
+    # and pin once
+    edges = edges.repartition(nb).materialize()
 
     # labels0: every endpoint labeled with itself (distinct via groupby)
     labels = _min_label(
@@ -267,32 +262,36 @@ def connected_components(
 
     for _ in range(max_rounds):
         # propagate: neighbor labels flow along edges (src's label -> dst)
-        messages = edges.join(
+        messages = co_bucket(
+            edges,
             labels.map_batches(
                 lambda b: pa.table({"src": b["node"], "label": b["label"]}),
                 batch_format="pyarrow",
                 zero_copy_batch=True,
             ),
-            join_type="inner",
-            on=("src",),
-            **join_kwargs(cfg),
+            "src",
+            nb,
+            arrow_join("src"),
         ).map_batches(
             lambda b: pa.table({"node": b["dst"], "label": b["label"]}),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        new_labels = _min_label(messages.union(labels)).materialize()
+        # compacted to nb blocks, or the union would double the label
+        # table's block count every round
+        new_labels = _min_label(messages.union(labels)).repartition(nb).materialize()
         # fixpoint test: any label decreased this round?
         changed = (
-            new_labels.join(
+            co_bucket(
+                new_labels,
                 labels.map_batches(
                     lambda b: pa.table({"node": b["node"], "old": b["label"]}),
                     batch_format="pyarrow",
                     zero_copy_batch=True,
                 ),
-                join_type="inner",
-                on=("node",),
-                **join_kwargs(cfg),
+                "node",
+                nb,
+                arrow_join("node"),
             )
             .map_batches(
                 lambda b: b.filter(pc.not_equal(b["label"], b["old"])),
@@ -307,26 +306,12 @@ def connected_components(
 
     # translate (nid, min nid) back to (url, canon url): one join per side
     # against the metadata-sized id table
+    with_url = co_bucket(
+        labels, _ids_as(node_ids, "node_url", "node"), "node", nb, arrow_join("node")
+    )
     return (
-        labels.join(
-            node_ids.map_batches(
-                lambda b: pa.table({"node_url": b["node"], "node": b["nid"]}),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ),
-            join_type="inner",
-            on=("node",),
-            **jk,
-        )
-        .join(
-            node_ids.map_batches(
-                lambda b: pa.table({"canon": b["node"], "label": b["nid"]}),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ),
-            join_type="inner",
-            on=("label",),
-            **jk,
+        co_bucket(
+            with_url, _ids_as(node_ids, "canon", "label"), "label", nb, arrow_join("label")
         )
         .map_batches(
             lambda b: pa.table({"url": b["node_url"], "canon": b["canon"]}),
@@ -361,12 +346,16 @@ def canonicalize_pages(
     # Attach canon to the full corpus. The component map covers only pages
     # WITH a duplicate — small — so broadcast it (ray.put once, vectorized
     # index_in per batch) instead of shuffling the whole corpus through a
-    # left join; fall back to the hash join if it ever outgrows the driver.
+    # left join; fall back to the bucketed join if it ever outgrows the
+    # driver.
     if comp.count() <= 2_000_000:
-        t = pa.concat_tables(
-            [x for x in (ray.get(r) for r in comp.to_arrow_refs()) if x.num_columns]
-        ).combine_chunks()
-        map_ref = ray.put((t["url"].combine_chunks(), t["canon"].combine_chunks()))
+        blocks = blocks_of(comp)
+        map_ref = ray.put(
+            tuple(
+                pa.chunked_array([t[c] for t in blocks], type=pa.string()).combine_chunks()
+                for c in ("url", "canon")
+            )
+        )
 
         def finish_bcast(b: pa.Table) -> pa.Table:
             keys, vals = ray.get(map_ref)
@@ -376,12 +365,7 @@ def canonicalize_pages(
 
         return pages.map_batches(finish_bcast, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = pages.join(
-        comp,
-        join_type="left_outer",
-        on=("url",),
-        **join_kwargs(cfg),
-    )
+    joined = co_bucket(pages, comp, "url", merge_buckets(), arrow_join("url", "left outer"))
 
     def finish(b: pa.Table) -> pa.Table:
         canon = pc.coalesce(b["canon"], b["url"])

@@ -35,11 +35,13 @@ from virtuoso_quad_log_ray.numerics import fsb_from_matrix, half_away_int64, mat
 from virtuoso_quad_log_ray.sources.pages import PAGES_SQL_CTE, read_pages
 from virtuoso_quad_log_ray.stages.shuffle import (
     actor_kwargs,
+    arrow_join,
+    blocks_of,
     bucket_aggregate,
     by_bucket,
+    co_bucket,
     default_n_buckets,
-    join_kwargs,
-    self_join_input,
+    merge_buckets,
 )
 
 _SEP = "\x1f"
@@ -182,6 +184,14 @@ def _shingle_rows(sf_dir: str, n: int, hot_ref=None) -> ray.data.Dataset:
     return pages.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _typed_pairs(pairs: ray.data.Dataset, empty: pa.Table) -> ray.data.Dataset:
+    """Pin a pair miner's (pair-sized) result; when it has no rows, e.g.
+    on an empty corpus where no bucket task runs to type it, return the
+    typed empty table instead, so callers still see the pair columns."""
+    pairs = pairs.materialize()
+    return pairs if pairs.count() else ray.data.from_arrow(empty)
+
+
 def ngram_jaccard_pairs(
     sf_dir: str,
     cfg: EngineConfig = DEFAULT_CONFIG,
@@ -223,30 +233,16 @@ def ngram_jaccard_pairs(
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        hot_set = pa.concat_tables(
-            [t for t in (ray.get(r) for r in hot.to_arrow_refs()) if t.num_columns]
-        ).combine_chunks()
-        hot_ref = ray.put(hot_set["s1"].combine_chunks())
-    rows = self_join_input(_shingle_rows(sf_dir, n, hot_ref=hot_ref))
-    if rows.count() == 0:
-        # Ray's hash join cannot resolve key fields over a fully empty
-        # (schema-less) input; an empty corpus short-circuits here
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "url_a": pa.array([], type=pa.string()),
-                    "url_b": pa.array([], type=pa.string()),
-                    "jaccard_ppm": pa.array([], type=pa.int64()),
-                }
-            )
-        )
-    joined = rows.join(
-        rows,
-        join_type="inner",
-        on=("s1", "s2"),
-        **join_kwargs(cfg),
-        left_suffix="_l",
-        right_suffix="_r",
+        hot_s1 = [t["s1"] for t in blocks_of(hot)]
+        hot_ref = ray.put(pa.chunked_array(hot_s1, type=pa.int64()).combine_chunks())
+    # the self-join: each bucket of shingle rows joined to itself
+    joined = by_bucket(
+        _shingle_rows(sf_dir, n, hot_ref=hot_ref),
+        "s1",
+        default_n_buckets(),
+        lambda _, t: t.join(
+            t, keys=["s1", "s2"], join_type="inner", left_suffix="_l", right_suffix="_r"
+        ),
     )
 
     _PAIR_EMPTY = pa.table(
@@ -337,7 +333,16 @@ def ngram_jaccard_pairs(
             }
         )
 
-    return counted.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
+    return _typed_pairs(
+        counted.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True),
+        pa.table(
+            {
+                "url_a": pa.array([], type=pa.string()),
+                "url_b": pa.array([], type=pa.string()),
+                "jaccard_ppm": pa.array([], type=pa.int64()),
+            }
+        ),
+    )
 
 
 def ngram_jaccard_sql(threshold: float, shingle_size: int) -> str:
@@ -459,8 +464,8 @@ class MinHashSignatures:
             {
                 "url": batch["url"],
                 # fixed_size_binary (num_perm uint64s): zero-copy to/from the
-                # numpy matrix AND supported as a hash-join payload column
-                # (Arrow list types are not, as of Ray 2.49)
+                # numpy matrix AND supported as a join payload column
+                # (Arrow list types are not, as of pyarrow 16)
                 "sig": _fsb_from_matrix(sig_mat),
                 "n_sh": pa.array(n_sh),
             }
@@ -522,11 +527,7 @@ def _dedup_candidate_pairs(joined: ray.data.Dataset) -> ray.data.Dataset:
 
     pairs = joined.map_batches(to_pairs, batch_format="pyarrow", zero_copy_batch=True)
     distinct = bucket_aggregate(pairs, ["h1", "h2"], [("url_a", "min"), ("url_b", "min")])
-    # candidates feed the verify hash joins: drop the sort-shuffle's
-    # schemaless empty blocks first (duplicate-set-sized materialize)
-    from virtuoso_quad_log_ray.stages.shuffle import scrub_empty_blocks
-
-    return scrub_empty_blocks(distinct).map_batches(
+    return distinct.map_batches(
         lambda b: pa.table({"url_a": b["url_a_min"], "url_b": b["url_b_min"]}),
         batch_format="pyarrow",
         zero_copy_batch=True,
@@ -698,13 +699,8 @@ def minhash_lsh_pairs(
             }
         )
 
-    # pinned once (same contract as self_join_input): the emptiness gate
-    # below consumes it and the bucketed groupby reads the same blocks —
-    # without the pin the band-key map would execute twice. ~28 B/row
-    # (band, bh, band_key + url), never the signatures.
-    band_rows = sig_tbl.map_batches(
-        band_keys, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
+    # ~28 B/row (band, bh, band_key + url), never the signatures
+    band_rows = sig_tbl.map_batches(band_keys, batch_format="pyarrow", zero_copy_batch=True)
 
     _RAW_PAIR_EMPTY = pa.table(
         {
@@ -762,21 +758,11 @@ def minhash_lsh_pairs(
             }
         )
 
-    if band_rows.count() == 0:  # empty corpus: groupby needs a schema
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "url_a": pa.array([], type=pa.string()),
-                    "url_b": pa.array([], type=pa.string()),
-                    "est_jaccard_ppm": pa.array([], type=pa.int64()),
-                }
-            )
-        )
     raw_pairs = by_bucket(band_rows, "band_key", nb, emit_bucket_pairs)
     cand = _dedup_candidate_pairs(raw_pairs)
 
-    # verify: hash-join candidates back to the compact signature table on
-    # url (no signature ever rides the band self-join, no driver broadcast)
+    # verify: join candidates back to the compact signature table on url
+    # (no signature ever rides the band exchange, no driver broadcast)
     side_a = sig_tbl.map_batches(
         lambda b: pa.table({"url_a": b["url"], "sig_a": b["sig"]}),
         batch_format="pyarrow",
@@ -787,18 +773,10 @@ def minhash_lsh_pairs(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    with_a = cand.join(side_a, join_type="inner", on=("url_a",), **join_kwargs(cfg, small=True))
-    with_b = with_a.join(side_b, join_type="inner", on=("url_b",), **join_kwargs(cfg, small=True))
+    with_a = co_bucket(cand, side_a, "url_a", merge_buckets(), arrow_join("url_a"))
+    with_b = co_bucket(with_a, side_b, "url_b", merge_buckets(), arrow_join("url_b"))
 
     def finalize(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table(
-                {
-                    "url_a": pa.array([], type=pa.string()),
-                    "url_b": pa.array([], type=pa.string()),
-                    "est_jaccard_ppm": pa.array([], type=pa.int64()),
-                }
-            )
         sa = _sig_matrix(batch["sig_a"], num_perm)
         sb = _sig_matrix(batch["sig_b"], num_perm)
         est = (sa == sb).mean(axis=1)
@@ -812,7 +790,16 @@ def minhash_lsh_pairs(
             }
         )
 
-    return with_b.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
+    return _typed_pairs(
+        with_b.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True),
+        pa.table(
+            {
+                "url_a": pa.array([], type=pa.string()),
+                "url_b": pa.array([], type=pa.string()),
+                "est_jaccard_ppm": pa.array([], type=pa.int64()),
+            }
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -949,26 +936,14 @@ def simhash_pairs(
             }
         )
 
-    bucketed = self_join_input(
-        sigs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    if bucketed.count() == 0:  # empty corpus: joins need a schema
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "url_a": pa.array([], type=pa.string()),
-                    "url_b": pa.array([], type=pa.string()),
-                    "hamming": pa.array([], type=pa.int64()),
-                }
-            )
-        )
-    joined = bucketed.join(
-        bucketed,
-        join_type="inner",
-        on=("band", "bv"),
-        left_suffix="_l",
-        right_suffix="_r",
-        **join_kwargs(cfg),
+    # the self-join: each bucket of band rows joined to itself
+    joined = by_bucket(
+        sigs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True),
+        "bv",
+        default_n_buckets(),
+        lambda _, t: t.join(
+            t, keys=["band", "bv"], join_type="inner", left_suffix="_l", right_suffix="_r"
+        ),
     )
 
     _PAIR_EMPTY = pa.table(
@@ -1122,8 +1097,8 @@ def dedup_incremental(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.da
     Distributed shape: the prior index is built as per-block-DISTINCT
     16-byte md5 fixed_size_binary keys (clone/mirror pages collapse before
     the exchange) and ships ONLY the key column; the current crawl
-    anti-joins against it on that fixed-width key — one hash exchange, no
-    strings on the build side. At 100 TB the index is a persisted Parquet
+    anti-joins against it on that fixed-width key — one ``co_bucket``
+    exchange, no strings on the build side. At 100 TB the index is a persisted Parquet
     artifact of run k (corpus-distinct-sized, ~16 B/doc) read straight into
     the join.
 
@@ -1141,19 +1116,6 @@ def dedup_incremental(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.da
     import hashlib
 
     from virtuoso_quad_log_ray.pipelines.changelog import _pages_version
-    from virtuoso_quad_log_ray.sources.pages import corpus_num_rows
-
-    if corpus_num_rows(sf_dir) == 0:
-        # footer-metadata probe: Ray's hash join cannot resolve key fields
-        # over a fully empty, schemaless input (no extra pipeline pass)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "url": pa.array([], type=pa.string()),
-                    "content_md5": pa.array([], type=pa.string()),
-                }
-            )
-        )
 
     def fp_batch(with_url: bool):
         def fn(batch: pa.Table) -> pa.Table:
@@ -1193,9 +1155,7 @@ def dedup_incremental(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.da
     current = _pages_version(sf_dir, 2).map_batches(
         fp_batch(with_url=True), batch_format="pyarrow", zero_copy_batch=True
     )
-    fresh = current.join(
-        prev_index, join_type="left_anti", on=("fp",), **join_kwargs(cfg)
-    )
+    fresh = co_bucket(current, prev_index, "fp", merge_buckets(), arrow_join("fp", "left anti"))
     return fresh.map_batches(
         lambda b: b.select(["url", "content_md5"]),
         batch_format="pyarrow",
@@ -1346,13 +1306,11 @@ def dedup_incremental_bloom(
 
     partial_blobs = [
         t["bits"]
-        for t in (
-            ray.get(r)
-            for r in _pages_version(sf_dir, 1)
-            .map_batches(bloom_partial, batch_format="pyarrow", zero_copy_batch=True)
-            .to_arrow_refs()
+        for t in blocks_of(
+            _pages_version(sf_dir, 1).map_batches(
+                bloom_partial, batch_format="pyarrow", zero_copy_batch=True
+            )
         )
-        if t.num_columns and t.num_rows
     ]
     merged = np.zeros(bits // 8, dtype=np.uint8)
     for col in partial_blobs:

@@ -29,9 +29,11 @@ import ray.data
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.stages.shuffle import (
+    arrow_join,
+    blocks_of,
     bucket_aggregate,
-    join_kwargs,
-    scrub_empty_blocks,
+    co_bucket,
+    merge_buckets,
 )
 
 
@@ -88,14 +90,15 @@ def pagerank(
     densely re-keyed to int64 ranks once (``canonicalize._rank_nodes`` — the
     distributed zip-with-index), the symmetric edge table is joined to its
     per-source out-weight ONCE and pinned with precomputed transition shares,
-    and each of the ``iters`` rounds is one hash join (edges x ranks on src)
+    and each of the ``iters`` rounds is one ``co_bucket`` join (edges x
+    ranks on src)
     plus one ``bucket_aggregate`` sum keyed on dst — the exchange carries
     (int64, float64) rows only, never node strings. Strings cross a shuffle
     exactly three times total (two edge-translation joins in, one
     label-translation join out), independent of iteration count — the same
     contract as connected_components.
     """
-    from virtuoso_quad_log_ray.stages.canonicalize import _min_label, _rank_nodes
+    from virtuoso_quad_log_ray.stages.canonicalize import _ids_as, _min_label, _rank_nodes
 
     def normed(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -110,9 +113,8 @@ def pagerank(
             }
         )
 
-    pairs = scrub_empty_blocks(
-        pairs.map_batches(normed, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    # consumed 2-3x below (count + either path): materialize once
+    pairs = pairs.map_batches(normed, batch_format="pyarrow", zero_copy_batch=True).materialize()
     n_edges = pairs.count()
     if n_edges == 0:
         return ray.data.from_arrow(
@@ -124,9 +126,7 @@ def pagerank(
             )
         )
     if n_edges <= driver_threshold:
-        edges_t = pa.concat_tables(
-            [t for t in (ray.get(r) for r in pairs.to_arrow_refs()) if t.num_columns]
-        )
+        edges_t = pa.concat_tables(blocks_of(pairs))
         return ray.data.from_arrow(_driver_pagerank(edges_t, iters, damping))
 
     # ---- distributed fixpoint ----
@@ -144,25 +144,12 @@ def pagerank(
     node_ids = _rank_nodes(distinct_nodes).materialize()  # (node, nid)
     n_nodes = node_ids.count()
 
-    jk = join_kwargs(cfg)
-    int_pairs = pairs.join(
-        node_ids.map_batches(
-            lambda b: pa.table({"node_a": b["node"], "aid": b["nid"]}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        join_type="inner",
-        on=("node_a",),
-        **jk,
-    ).join(
-        node_ids.map_batches(
-            lambda b: pa.table({"node_b": b["node"], "bid": b["nid"]}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        join_type="inner",
-        on=("node_b",),
-        **jk,
+    nb = merge_buckets()
+    with_a = co_bucket(
+        pairs, _ids_as(node_ids, "node_a", "aid"), "node_a", nb, arrow_join("node_a")
+    )
+    int_pairs = co_bucket(
+        with_a, _ids_as(node_ids, "node_b", "bid"), "node_b", nb, arrow_join("node_b")
     )
 
     def symmetrize(b: pa.Table) -> pa.Table:
@@ -179,7 +166,7 @@ def pagerank(
         )
 
     sym = int_pairs.map_batches(symmetrize, batch_format="pyarrow", zero_copy_batch=True)
-    out_w = scrub_empty_blocks(bucket_aggregate(sym, ["src"], [("w", "sum")]))
+    out_w = bucket_aggregate(sym, ["src"], [("w", "sum")])
 
     def share_fn(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -191,8 +178,9 @@ def pagerank(
         )
 
     edges = (
-        sym.join(out_w, join_type="inner", on=("src",), **jk)
+        co_bucket(sym, out_w, "src", nb, arrow_join("src"))
         .map_batches(share_fn, batch_format="pyarrow", zero_copy_batch=True)
+        .repartition(nb)  # compact: each block is a split task every round
         .materialize()  # reused every round; pin the share table once
     )
 
@@ -221,7 +209,7 @@ def pagerank(
             )
 
         contrib = bucket_aggregate(
-            edges.join(ranks, join_type="inner", on=("src",), **jk).map_batches(
+            co_bucket(edges, ranks, "src", nb, arrow_join("src")).map_batches(
                 contrib_fn, batch_format="pyarrow", zero_copy_batch=True
             ),
             ["dst"],
@@ -239,20 +227,23 @@ def pagerank(
             )
 
         # symmetric graph: every node is some edge's dst, so the aggregate
-        # covers all n_nodes and no outer-join backfill round is needed
-        ranks = scrub_empty_blocks(
+        # covers all n_nodes and no outer-join backfill round is needed;
+        # compacted to nb blocks, or each round would add the edge table's
+        # block count to the next round's exchange
+        ranks = (
             contrib.map_batches(new_rank, batch_format="pyarrow", zero_copy_batch=True)
+            .repartition(nb)
+            .materialize()
         )
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({"node": b["node"], "rank": b["rank"]})
 
-    return (
-        ranks.map_batches(
-            lambda b: pa.table({"nid": b["src"], "rank": b["rank"]}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .join(node_ids, join_type="inner", on=("nid",), **jk)
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    by_nid = ranks.map_batches(
+        lambda b: pa.table({"nid": b["src"], "rank": b["rank"]}),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    return co_bucket(by_nid, node_ids, "nid", nb, arrow_join("nid")).map_batches(
+        finish, batch_format="pyarrow", zero_copy_batch=True
     )

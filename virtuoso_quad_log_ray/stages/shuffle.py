@@ -8,29 +8,22 @@ split-graphs.sh:73-141, generalized to bounded fan-out). The bucket comes
 from the key column's type (:func:`_bucket_of`): a string key is hashed
 with ``numerics.hash128``, an integer key is its own hash,
 ``uint64(key) % n``. Every hash-bucket groupby in the engine runs through
-it: the file sinks (snapshot, patch, JSONL, WARC), the changelog's paired
-shuffle, ``kg.chunk_plan``, :func:`bucket_aggregate`, and the per-key
-merges (relational latest/sessions/as-of/range, the top-k merge,
-``textstats.pack_plan``, the MinHash-LSH band exchange). Bucket counts:
-:func:`default_n_buckets` for on-disk layouts and corpus-sized exchanges,
-:func:`merge_buckets` for per-key merges.
+it: the file sinks (snapshot, patch, JSONL, WARC), ``kg.chunk_plan``,
+:func:`bucket_aggregate`, and the per-key merges (relational
+latest/sessions/as-of/range, the top-k merge, ``textstats.pack_plan``,
+the MinHash-LSH band exchange). Bucket counts: :func:`default_n_buckets`
+for on-disk layouts and corpus-sized exchanges, :func:`merge_buckets` for
+per-key merges and joins.
 
-Join sizing. Ray Data's hash join spawns one aggregator ACTOR per
-partition (default 1 logical CPU each). Two failure modes if sized
-naively:
-
-  * partitions > free cores  -> the aggregators never all schedule and the
-    pipeline deadlocks silently (observed in this sandbox at 4-8 CPUs);
-  * partitions << cores      -> the join is under-parallelized at scale.
-
-Policy: partitions = min(configured cap, live cluster CPUs / 2), floor 2,
-and the aggregator fleet together requests at most CPUs - 1 (each
-aggregator min(0.5, (CPUs - 1) / partitions)), so upstream map/read tasks
-always keep a whole core to make progress on. From 2 CPUs up that is 0.5
-per aggregator; on a 1-CPU cluster the aggregators request 0 CPU, where
-the 2-partition floor at 0.5 each would hold the only core and hang the
-join. On a 256-node cluster the cap (EngineConfig.num_shuffle_partitions)
-dominates; on a small host the CPU count does.
+Joins. :func:`co_bucket` is the two-sided form of the same exchange:
+both inputs are keyed by the same ``_bucket_of(row[key], n)``, and
+``fn(left_rows, right_rows)`` runs once per bucket, so a join is one
+pyarrow ``Table.join`` per bucket task (co-partition, then join locally,
+as in *CPU and GPU Hash Joins on Skewed Data*, ICDE 2024). A self-join is
+:func:`by_bucket` with ``fn`` joining the bucket to itself, so its
+upstream runs once. The changelog's prior/new pairing runs on it too. No
+join starts aggregator actors, so none holds a core and every join
+finishes on a 1-CPU cluster.
 """
 
 from __future__ import annotations
@@ -43,8 +36,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
-
 
 def cluster_cpus(default: int = 4) -> int:
     try:
@@ -53,34 +44,16 @@ def cluster_cpus(default: int = 4) -> int:
         return default
 
 
-def join_partitions(cfg: EngineConfig = DEFAULT_CONFIG) -> int:
-    return max(2, min(cfg.num_shuffle_partitions, cluster_cpus() // 2))
-
-
-def join_kwargs(cfg: EngineConfig = DEFAULT_CONFIG, *, small: bool = False) -> dict[str, Any]:
-    """kwargs for Dataset.join: partition count + fractional-CPU aggregators.
-
-    ``small=True`` is for joins whose probe side is metadata-sized (e.g.
-    verified candidate pairs — proportional to the duplicate set, not the
-    corpus): each partition is an aggregator ACTOR with startup latency, so
-    a 16-way fleet on a thousand-row join is pure overhead.
-    """
-    parts = max(2, join_partitions(cfg) // 4) if small else join_partitions(cfg)
-    return {
-        "num_partitions": parts,
-        "aggregator_ray_remote_args": {"num_cpus": min(0.5, max(0, cluster_cpus() - 1) / parts)},
-    }
-
-
 def actor_kwargs(*, batch_size: int = 2048, max_pool: int | None = None) -> dict[str, Any]:
     """kwargs for actor-pool ``map_batches`` stages.
 
     Every actor requests 0.5 CPU: a pipeline stacking several actor-pool
-    stages plus join/shuffle aggregators must never reserve every core, or
-    the task-pool operators feeding the actors starve and the pipeline
-    deadlocks (observed at num_cpus=4: 4/4 CPU held by actors, read tasks
-    pending forever). Fractional actors keep >= 1 core schedulable for
-    tasks at any pool size; pool max scales with the cluster.
+    stages must never reserve every core, or the task-pool operators
+    feeding the actors (reads, the bucketed shuffle's map and reduce tasks)
+    starve and the pipeline deadlocks (observed at num_cpus=4: 4/4 CPU held
+    by actors, read tasks pending forever). Fractional actors keep >= 1
+    core schedulable for tasks at any pool size; pool max scales with the
+    cluster. The actor pools are the only actors the engine starts.
 
     The pool MIN also scales with the cluster (cpus/2 actors = cpus/4
     reserved CPUs): an autoscaling pool starting at 1 actor ramps ~1 actor/s,
@@ -91,9 +64,9 @@ def actor_kwargs(*, batch_size: int = 2048, max_pool: int | None = None) -> dict
     """
     cpus = cluster_cpus()
     hi = max_pool or max(2, cpus - 1)
-    # floor cpus//2 (not cpus-1): pipelines stacking TWO actor pools plus
-    # join aggregators at small cpu counts must leave >= 1 whole CPU of
-    # headroom for task operators or they deadlock (see module docstring).
+    # floor cpus//2 (not cpus-1): pipelines stacking TWO actor pools at
+    # small cpu counts must leave >= 1 whole CPU of headroom for task
+    # operators or they deadlock.
     lo = min(max(1, cpus // 2), hi)
     return {
         "concurrency": (lo, hi),
@@ -118,7 +91,7 @@ def default_n_buckets() -> int:
 
 def merge_buckets() -> int:
     """Bucket count of the per-key merges (latest event, sessions, as-of,
-    range window, top-k): 2 per live CPU, floor 8."""
+    range window, top-k) and of the joins: 2 per live CPU, floor 8."""
     return max(8, cluster_cpus() * 2)
 
 
@@ -189,6 +162,84 @@ def by_bucket(
     return ds.groupby("bucket").map_groups(run, batch_format="pyarrow")
 
 
+def _ipc(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+def co_bucket(
+    left: ray.data.Dataset, right: ray.data.Dataset, key: str, n_buckets: int, fn
+) -> ray.data.Dataset:
+    """The two-sided bucketed exchange: the rows of ``left`` and ``right``
+    keyed by the same :func:`_bucket_of` ``(row[key], n_buckets)``, and
+    ``fn(left_rows, right_rows)`` once per bucket, returning an Arrow
+    table. Lazy: the caller executes it.
+
+    Each non-empty block of either side is cut into one slice per bucket,
+    empty slices included, and each slice rides :func:`by_bucket` as an
+    Arrow IPC payload on its integer bucket id. So an input with at least
+    one row reaches EVERY bucket as a typed table (its blocks' slices
+    concatenated), with zero rows where it has none there, and no schema
+    is ever asked of a Dataset. An input with no rows at all reaches
+    ``fn`` as None; when both have none, no bucket task runs. The output
+    has as many blocks as the two inputs together (the sort's partition
+    count), so a loop that feeds it back into the next round compacts it
+    (``repartition``) before it pins the round."""
+
+    def cut(side: int):
+        def run(b: pa.Table) -> pa.Table:
+            bucket = _bucket_of(b[key], n_buckets).to_numpy()
+            rows = b.take(pa.array(np.argsort(bucket, kind="stable")))
+            counts = np.bincount(bucket, minlength=n_buckets)
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            return pa.table(
+                {
+                    "part": pa.array(np.arange(n_buckets, dtype=np.int64)),
+                    "side": pa.array(np.full(n_buckets, side, dtype=np.int8)),
+                    "payload": pa.array(
+                        [_ipc(rows.slice(a, z - a)) for a, z in zip(starts, ends)],
+                        type=pa.large_binary(),
+                    ),
+                }
+            )
+
+        return run
+
+    def run(_, rows: pa.Table) -> pa.Table:
+        sides = ([], [])
+        for side, payload in zip(rows["side"].to_pylist(), rows["payload"]):
+            sides[side].append(pa.ipc.open_stream(payload.as_buffer()).read_all())
+        left_rows, right_rows = (
+            pa.concat_tables(t, promote_options="permissive") if t else None for t in sides
+        )
+        return fn(left_rows, right_rows)
+
+    slices = [
+        ds.map_batches(cut(side), batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+        for side, ds in enumerate((left, right))
+    ]
+    return by_bucket(slices[0].union(slices[1]), "part", n_buckets, run)
+
+
+def arrow_join(keys, join_type: str = "inner", **suffixes):
+    """:func:`co_bucket` ``fn`` of one pyarrow ``Table.join`` per bucket
+    (``join_type`` and ``suffixes`` as ``Table.join`` takes them). A side
+    that is None, an input with no rows at all, joins as an empty table:
+    a left anti join keeps every left row, an inner join has no rows."""
+
+    def run(left: pa.Table | None, right: pa.Table | None) -> pa.Table:
+        if right is None and join_type == "left anti":
+            return left
+        if left is None or right is None:
+            return pa.table({})
+        return left.join(right, keys=keys, join_type=join_type, **suffixes)
+
+    return run
+
+
 def bucket_aggregate(
     ds: "ray.data.Dataset",
     keys: list[str],
@@ -208,8 +259,8 @@ def bucket_aggregate(
     ONE pyarrow ``Table.group_by().aggregate()`` — C++ hash aggregation.
     Same exchange volume as the native path, vectorized combine cost.
     Sort partitions holding no bucket still emit EMPTY blocks with an
-    EMPTY schema (zero columns); see scrub_empty_blocks below for why that
-    matters to downstream joins.
+    EMPTY schema (zero columns); they hold no rows, so no map UDF, no
+    :func:`co_bucket` and no :func:`blocks_of` ever sees them.
 
     ``hash_col`` names an integer column uniformly distributed across keys
     (e.g. a 64-bit content hash that determines the key); defaults to
@@ -221,71 +272,21 @@ def bucket_aggregate(
     )
 
 
-def scrub_empty_blocks(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Drop the zero-column empty blocks a sort-shuffle emits for empty
-    partitions. Required between a groupby/``bucket_aggregate`` and a hash
-    JOIN consuming its output.
+def blocks_of(ds: ray.data.Dataset) -> list[pa.Table]:
+    """The non-empty blocks of ``ds`` as Arrow tables, from ONE execution.
 
-    Ray's groupby sort-shuffle materializes one block per partition; a
-    partition that received no keys yields an empty block with an EMPTY
-    schema (zero columns — pa.schema([])). Those blocks skip every
-    map_batches UDF (Ray never calls fn on zero-row blocks) and survive to
-    a downstream hash join, where a join hash-partition whose input happens
-    to be all-schemaless concatenates to a zero-column table and acero
-    fails loudly: "No match or multiple matches for key field reference".
-    Observed at sf0.1 / 32 CPUs (vocabulary < bucket count) in
-    tfidf_top_terms; any aggregate whose key cardinality can fall below the
-    bucket count is exposed.
+    ``Dataset.to_arrow_refs`` executes the pipeline and then asks for its
+    schema, which executes it a second time (Ray 2.49); this reads the
+    blocks straight from the execution's ref bundles. Zero-row blocks are
+    skipped by their metadata, so the schemaless blocks of empty sort
+    partitions never reach the caller."""
+    from ray.data.block import BlockAccessor
 
-    A streaming ``repartition()`` also merges the empties away, but it adds
-    an AllToAll barrier that DEADLOCKS low-CPU clusters when stacked
-    against join aggregator actors (observed hang at num_cpus=4 in
-    embedding_neardup_pairs: join actors reserve the cores the extra
-    barrier's tasks need). Instead this materializes — the input must be
-    aggregate/key-sized, same contract as ``self_join_input`` — and
-    rebuilds the dataset from the surviving block REFS: blocks never leave
-    the object store, no driver transit, and the downstream join starts
-    from clean typed blocks.
-
-    Every streaming alternative was evaluated and ruled out on Ray 2.49
-    (round 5):
-
-      * a retyping ``map_batches`` can NEVER fix an empty block — Ray does
-        not invoke map UDFs on zero-row blocks at all (pinned by
-        ``test_dedup.py::test_ray_skips_udfs_on_empty_blocks``; if a Ray
-        upgrade changes this, that test flags the streaming fix as newly
-        possible);
-      * seeding the aggregate with one sentinel row per bucket types every
-        BUCKET's output, but the sort-shuffle's range boundaries are
-        sampled from the row distribution, so key-skewed inputs still leave
-        rangeless partitions emitting schemaless blocks;
-      * ``repartition(keys=...)`` (true hash partitioning) requires the
-        global ``DataContext.shuffle_strategy = HASH_SHUFFLE``, and under
-        that strategy the whole suite DEADLOCKS at num_cpus=4 — 16
-        HashShuffleAggregator actors sat idle holding the cores the
-        upstream map tasks needed (observed; the same hazard class this
-        function's materialize exists to avoid).
-    """
-    m = ds.materialize()
-    refs = []
-    for bundle in m.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows:
-                refs.append(ref)
-    if not refs:  # fully empty aggregate: keep the original (callers guard)
-        return m
-    return ray.data.from_arrow_refs(refs)
-
-
-def self_join_input(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Materialize a dataset that feeds BOTH sides of a self-join.
-
-    Ray Data has no common-subexpression reuse: ``ds.join(ds, ...)`` executes
-    the upstream twice (two read+compute chains, two actor pools). For the
-    compact signature/bucket tables feeding our self-joins this is pure
-    waste, so pin the blocks once in the object store. At 100 TB the analog
-    is checkpointing the signature table to Parquet and reading it twice —
-    either way the exploded/raw input is never materialized, only the
-    key table.
-    """
-    return ds.materialize()
+    refs = [
+        ref
+        for bundle in ds.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows != 0
+    ]
+    tables = (BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs))
+    return [t for t in tables if t.num_rows]

@@ -23,14 +23,15 @@ from virtuoso_quad_log_ray.numerics import (
     list_matrix,
     matrix_from_fsb,
 )
+from virtuoso_quad_log_ray.stages.dedup import _typed_pairs
 from virtuoso_quad_log_ray.stages.shuffle import (
     actor_kwargs,
+    arrow_join,
     bucket_aggregate,
     by_bucket,
-    join_kwargs,
+    co_bucket,
+    default_n_buckets,
     merge_buckets,
-    scrub_empty_blocks,
-    self_join_input,
 )
 
 
@@ -429,10 +430,11 @@ def embedding_neardup_pairs(
     cosine verify). A 0.45 threshold is LOW for hyperplane LSH — raise
     bits-per-band for higher thresholds.
 
-    The verify stage hash-joins the distinct candidate pairs back to the
-    embeddings table on vec_id (once per side) — no driver-side table
-    materialization or whole-corpus broadcast anywhere; vectors ride the
-    verify joins only, as fixed_size_binary, never the band self-join.
+    The verify stage joins the distinct candidate pairs back to the
+    embeddings table on vec_id (one ``co_bucket`` join per side) — no
+    driver-side table materialization or whole-corpus broadcast anywhere;
+    vectors ride the verify joins only, as fixed_size_binary, never the
+    band self-join.
     """
     emb_path = f"{sf_dir}/embeddings.parquet"
     dim = _emb_dim(emb_path)
@@ -443,24 +445,14 @@ def embedding_neardup_pairs(
         fn_constructor_kwargs={"dim": dim, "n_bits": n_bits, "n_bands": n_bands},
         **actor_kwargs(batch_size=4096),
     )
-    bucketed = self_join_input(bucketed)
-    if bucketed.count() == 0:  # empty corpus: joins need a schema
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "vec_a": pa.array([], type=pa.int64()),
-                    "vec_b": pa.array([], type=pa.int64()),
-                    "cos_ppm": pa.array([], type=pa.int64()),
-                }
-            )
-        )
-    joined = bucketed.join(
+    # the self-join: each bucket of band rows joined to itself
+    joined = by_bucket(
         bucketed,
-        join_type="inner",
-        on=("band", "bv"),
-        **join_kwargs(cfg),
-        left_suffix="_l",
-        right_suffix="_r",
+        "bv",
+        default_n_buckets(),
+        lambda _, t: t.join(
+            t, keys=["band", "bv"], join_type="inner", left_suffix="_l", right_suffix="_r"
+        ),
     )
 
     _EMPTY_PAIRS = pa.table(
@@ -479,15 +471,11 @@ def embedding_neardup_pairs(
         uniq = np.unique(m, axis=0)
         return pa.table({"vec_a": pa.array(uniq[:, 0]), "vec_b": pa.array(uniq[:, 1])})
 
-    # candidates feed the verify hash joins: drop the sort-shuffle's
-    # schemaless empty blocks first (candidate-pair-sized materialize)
-    cand = scrub_empty_blocks(
-        bucket_aggregate(
-            joined.map_batches(pair_rows, batch_format="pyarrow", zero_copy_batch=True),
-            ["vec_a", "vec_b"],
-            [("vec_b", "count")],
-        )
-    ).select_columns(["vec_a", "vec_b"])
+    cand = bucket_aggregate(
+        joined.map_batches(pair_rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["vec_a", "vec_b"],
+        [("vec_b", "count")],
+    )
 
     def side(key: str):
         def project(b: pa.Table) -> pa.Table:
@@ -502,18 +490,10 @@ def embedding_neardup_pairs(
 
     side_a = vecs.map_batches(side("vec_a"), batch_format="pyarrow", zero_copy_batch=True)
     side_b = vecs.map_batches(side("vec_b"), batch_format="pyarrow", zero_copy_batch=True)
-    with_a = cand.join(side_a, join_type="inner", on=("vec_a",), **join_kwargs(cfg, small=True))
-    with_b = with_a.join(side_b, join_type="inner", on=("vec_b",), **join_kwargs(cfg, small=True))
+    with_a = co_bucket(cand, side_a, "vec_a", merge_buckets(), arrow_join("vec_a"))
+    with_b = co_bucket(with_a, side_b, "vec_b", merge_buckets(), arrow_join("vec_b"))
 
     def finalize(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table(
-                {
-                    "vec_a": pa.array([], type=pa.int64()),
-                    "vec_b": pa.array([], type=pa.int64()),
-                    "cos_ppm": pa.array([], type=pa.int64()),
-                }
-            )
         va = matrix_from_fsb(batch["emb_vec_a"], dim, np.float64)
         vb = matrix_from_fsb(batch["emb_vec_b"], dim, np.float64)
         cos = (va * vb).sum(axis=1) / (
@@ -529,4 +509,13 @@ def embedding_neardup_pairs(
             }
         )
 
-    return with_b.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
+    return _typed_pairs(
+        with_b.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True),
+        pa.table(
+            {
+                "vec_a": pa.array([], type=pa.int64()),
+                "vec_b": pa.array([], type=pa.int64()),
+                "cos_ppm": pa.array([], type=pa.int64()),
+            }
+        ),
+    )

@@ -282,7 +282,7 @@ def heavy_hitters_over(
     import math
 
     from virtuoso_quad_log_ray.numerics import hash128 as _h128
-    from virtuoso_quad_log_ray.stages.shuffle import bucket_aggregate, scrub_empty_blocks
+    from virtuoso_quad_log_ray.stages.shuffle import blocks_of, bucket_aggregate
 
     k = int(math.ceil(2.0 / phi))
 
@@ -335,28 +335,22 @@ def heavy_hitters_over(
         )
         return pa.concat_tables([out, meta])
 
-    sketch = scrub_empty_blocks(
-        bucket_aggregate(
-            pages.map_batches(mg_partial, batch_format="pyarrow", zero_copy_batch=True),
-            ["kind", "term"],
-            [("c", "sum")],
-            hash_col="h",
-        )
-    )
+    # read twice below: pin the (sketch-sized) aggregate once
+    sketch = bucket_aggregate(
+        pages.map_batches(mg_partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["kind", "term"],
+        [("c", "sum")],
+        hash_col="h",
+    ).materialize()
     # meta rows: 2 rows -> driver scalars (sketch-sized take, like the
     # k-means partials / trigram model pulls elsewhere in the engine)
-    meta_tables = [
-        t
-        for t in (
-            ray.get(r)
-            for r in sketch.map_batches(
-                lambda b: b.filter(pc.not_equal(b["kind"], 0)),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ).to_arrow_refs()
+    meta_tables = blocks_of(
+        sketch.map_batches(
+            lambda b: b.filter(pc.not_equal(b["kind"], 0)),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
         )
-        if t.num_columns
-    ]
+    )
     if not meta_tables:  # empty corpus: no blocks survive the aggregate
         n_total, sum_t = 0, 0
     else:
@@ -379,16 +373,9 @@ def heavy_hitters_over(
         mask = pc.and_(pc.equal(b["kind"], 0), pc.greater_equal(b["c_sum"], lb))
         return b.filter(mask).select(["term"])
 
-    cand_tables = [
-        t
-        for t in (
-            ray.get(r)
-            for r in sketch.map_batches(
-                cand_filter, batch_format="pyarrow", zero_copy_batch=True
-            ).to_arrow_refs()
-        )
-        if t.num_columns
-    ]
+    cand_tables = blocks_of(
+        sketch.map_batches(cand_filter, batch_format="pyarrow", zero_copy_batch=True)
+    )
     if not cand_tables:
         cand_tables = [pa.table({"term": pa.array([], type=pa.string())})]
     cand_t = pa.concat_tables(cand_tables)

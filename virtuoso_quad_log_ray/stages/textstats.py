@@ -959,22 +959,18 @@ def contamination(
 
     Distributed shape — no broadcast of the eval set (at 10^12-doc scale
     even an eval slice outgrows a task heap): the compact 16-byte shingle
-    table (dedup._shingle_rows) is materialized ONCE and read twice; the
-    eval side collapses to distinct shingle keys (bucketed C++ aggregate);
-    one left-outer hash join marks each train shingle row hit/miss; a
-    bucketed per-url aggregate folds hits into
+    table (dedup._shingle_rows) goes through ONE ``by_bucket`` exchange
+    keyed on the shingle hash, so every eval and train row of a shingle
+    meets in one bucket task. There the eval rows collapse to distinct
+    shingle keys and one left-outer Arrow join marks each train shingle
+    row hit/miss; a bucketed per-url aggregate folds hits into
     ``contam_ppm = round(1e6 * |hit shingles| / |shingles|)``. Every join
     key is the fixed-width 128-bit shingle hash.
 
     Output: (url, n_shingles, n_contaminated, contam_ppm) for every train
     page with at least one shingle."""
     from virtuoso_quad_log_ray.stages.dedup import _shingle_rows
-    from virtuoso_quad_log_ray.stages.shuffle import (
-        bucket_aggregate,
-        join_kwargs,
-        scrub_empty_blocks,
-        self_join_input,
-    )
+    from virtuoso_quad_log_ray.stages.shuffle import bucket_aggregate, merge_buckets
 
     n = cfg.shingle_size
 
@@ -984,53 +980,23 @@ def contamination(
             "shard", pa.array(uh % EVAL_SHARDS)
         )
 
-    rows = self_join_input(
-        _shingle_rows(sf_dir, n).map_batches(
-            keyed, batch_format="pyarrow", zero_copy_batch=True
+    def mark(_, rows: pa.Table) -> pa.Table:
+        is_eval = pc.equal(rows["shard"], 0)
+        eval_keys = rows.filter(is_eval).group_by(["s1", "s2"]).aggregate([])
+        eval_keys = eval_keys.append_column(
+            "hit", pa.array(np.ones(len(eval_keys), dtype=np.int64))
         )
-    )
+        train = rows.filter(pc.invert(is_eval))
+        return train.join(eval_keys, keys=["s1", "s2"], join_type="left outer")
 
-    _EMPTY = pa.table(
-        {
-            "url": pa.array([], type=pa.string()),
-            "n_shingles": pa.array([], type=pa.int64()),
-            "n_contaminated": pa.array([], type=pa.int64()),
-            "contam_ppm": pa.array([], type=pa.int64()),
-        }
-    )
-    if rows.count() == 0:
-        return ray.data.from_arrow(_EMPTY)
-
-    def only(shard_eq: bool):
-        def f(b: pa.Table) -> pa.Table:
-            mask = pc.equal(b["shard"], 0)
-            return b.filter(mask if shard_eq else pc.invert(mask))
-
-        return f
-
-    eval_rows = rows.map_batches(only(True), batch_format="pyarrow", zero_copy_batch=True)
-    train = rows.map_batches(only(False), batch_format="pyarrow", zero_copy_batch=True)
-
-    # eval_keys feeds the left_outer hash join below: scrub the
-    # sort-shuffle's schemaless empty blocks (eval-shingle-set-sized; the
-    # count() guard below materializes anyway)
-    eval_keys = scrub_empty_blocks(
-        bucket_aggregate(eval_rows, ["s1", "s2"], [("url", "count")], hash_col="s1")
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "s1": b["s1"],
-                "s2": b["s2"],
-                "hit": pa.array(np.ones(len(b), dtype=np.int64)),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    joined = by_bucket(
+        _shingle_rows(sf_dir, n).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "s1",
+        merge_buckets(),
+        mark,
     )
 
     def finalize(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return _EMPTY
         size = b["size_min"].to_numpy(zero_copy_only=False).astype(np.int64)
         cont = (
             pc.fill_null(b["hit_sum"], 0).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1044,30 +1010,6 @@ def contamination(
             }
         )
 
-    if eval_keys.count() == 0:
-        # no eval pages shingled -> every train page is trivially clean
-        per_url = bucket_aggregate(
-            train, ["url"], [("size", "min")], hash_col="uh"
-        )
-        return per_url.map_batches(
-            lambda b: pa.table(
-                {
-                    "url": b["url"],
-                    "n_shingles": pc.cast(b["size_min"], pa.int64()),
-                    "n_contaminated": pa.array(np.zeros(len(b), dtype=np.int64)),
-                    "contam_ppm": pa.array(np.zeros(len(b), dtype=np.int64)),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-    joined = train.join(
-        eval_keys,
-        join_type="left_outer",
-        on=("s1", "s2"),
-        **join_kwargs(cfg),
-    )
     per_url = bucket_aggregate(
         joined, ["url"], [("size", "min"), ("hit", "sum")], hash_col="uh"
     )
@@ -1290,7 +1232,7 @@ def tfidf_top_terms(
     INTEGER ordering key — tf descending, document frequency ascending
     (rarer corpus-wide wins ties), then term — so the ranking is exactly
     reproducible in SQL with no float-comparison hazards. The composition
-    showcase: per-batch TF, distributed DF, one term-keyed hash join, and
+    showcase: per-batch TF, distributed DF, one term-keyed bucketed join, and
     the partial-top-k combiner, each stage already scale-proven elsewhere
     in the engine.
 
@@ -1300,7 +1242,7 @@ def tfidf_top_terms(
       2. DF partials per block (each (url, term) appears once, so a per-term
          row count IS the block's document frequency), summed by a bucketed
          C++ aggregate — only |block vocab| rows per block cross the wire.
-      3. TF joins DF on the term (distributed hash join; the vocabulary is
+      3. TF joins DF on the term (a ``co_bucket`` join; the vocabulary is
          never broadcast — at web scale DF tables outgrow any driver).
       4. Per-block partial top-k per url (<= k rows per url per block leave
          the block), then a per-url final merge re-ranks k x |blocks| rows.
@@ -1308,9 +1250,10 @@ def tfidf_top_terms(
     pages = read_pages(sf_dir, include_html=False)
     from virtuoso_quad_log_ray.numerics import hash128 as _h128
     from virtuoso_quad_log_ray.stages.shuffle import (
+        arrow_join,
         bucket_aggregate,
-        join_kwargs,
-        scrub_empty_blocks,
+        co_bucket,
+        merge_buckets,
     )
 
     def tf_batch(b: pa.Table) -> pa.Table:
@@ -1346,24 +1289,18 @@ def tfidf_top_terms(
             }
         )
 
-    # df feeds the term-keyed hash join below: scrub the sort-shuffle's
-    # schemaless empty blocks (vocabulary-sized materialize; they crashed
-    # the join with "No match for key field term" at sf0.1 / 32 CPUs where
-    # the synthetic vocab occupies fewer buckets than the aggregate has)
-    df = scrub_empty_blocks(
-        bucket_aggregate(
-            tf.map_batches(df_partial, batch_format="pyarrow", zero_copy_batch=True),
-            ["term"],
-            [("dfp", "sum")],
-            hash_col="h1",
-        )
+    df = bucket_aggregate(
+        tf.map_batches(df_partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["term"],
+        [("dfp", "sum")],
+        hash_col="h1",
     ).map_batches(
         lambda b: pa.table({"term": b["term"], "df": pc.cast(b["dfp_sum"], pa.int64())}),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
 
-    joined = tf.join(df, join_type="inner", on=("term",), **join_kwargs(cfg))
+    joined = co_bucket(tf, df, "term", merge_buckets(), arrow_join("term"))
 
     sort_keys = [("tf", "descending"), ("df", "ascending"), ("term", "ascending")]
 
@@ -1549,21 +1486,19 @@ def curate_to_jsonl(
 ):
     """Curation flagship -> delivery: run ``corpus_curate`` (gate ->
     exact-dedup keep-first -> shard plan), join the surviving urls back to
-    their page rows (ONE hash join on url — the curated set is the small
+    their page rows (ONE bucketed join on url — the curated set is the small
     side at any scale where curation rejects anything), and ship the result
     as committed JSONL shards via ``write_jsonl_corpus``. Returns the sink
     manifest; record count == curated-set size by construction.
     """
     from virtuoso_quad_log_ray.sources.pages import read_pages, write_jsonl_corpus
-    from virtuoso_quad_log_ray.stages.shuffle import join_kwargs, scrub_empty_blocks
+    from virtuoso_quad_log_ray.stages.shuffle import arrow_join, co_bucket, merge_buckets
 
-    curated = scrub_empty_blocks(
-        corpus_curate(sf_dir, cfg, n_shards=n_shards).map_batches(
-            lambda b: b.select(["url"]), batch_format="pyarrow", zero_copy_batch=True
-        )
+    curated = corpus_curate(sf_dir, cfg, n_shards=n_shards).map_batches(
+        lambda b: b.select(["url"]), batch_format="pyarrow", zero_copy_batch=True
     )
     pages = read_pages(sf_dir, include_html=False)
-    kept = pages.join(curated, join_type="inner", on=("url",), **join_kwargs(cfg))
+    kept = co_bucket(pages, curated, "url", merge_buckets(), arrow_join("url"))
     return write_jsonl_corpus(kept, out_root, epoch=epoch)
 
 

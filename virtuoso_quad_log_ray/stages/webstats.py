@@ -15,9 +15,8 @@ graph accounting re-expressed at the crawl layer):
   relational.top_orders_by_priority.
 
 Both compose the engine's proven distributed shapes: per-block C++ partial
-aggregates, `bucket_aggregate` (vectorized bucketed combine),
-`scrub_empty_blocks` before every aggregate-fed hash join, and key-sized
-join sides only.
+aggregates, `bucket_aggregate` (vectorized bucketed combine), and one
+`co_bucket` join of two key-sized sides (a pyarrow join per bucket task).
 """
 
 from __future__ import annotations
@@ -32,9 +31,10 @@ from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.sources.pages import PAGES_SQL_CTE, read_pages
 from virtuoso_quad_log_ray.stages.dedup import _hash128
 from virtuoso_quad_log_ray.stages.shuffle import (
+    arrow_join,
     bucket_aggregate,
-    join_kwargs,
-    scrub_empty_blocks,
+    co_bucket,
+    merge_buckets,
 )
 
 SITE_REGEX = r"^https?://([^/]+/[^/?#]+)"
@@ -62,7 +62,7 @@ def web_domain_stats(
          distinct via ``bucket_aggregate`` on the 128-bit key -> per-block
          count partials per site -> summed. The text itself never leaves
          the extraction block; 24 bytes/row ride the exchange.
-      3. one site-keyed hash join (both sides key-sized, scrubbed).
+      3. one site-keyed ``co_bucket`` join (both sides key-sized).
     """
     pages = read_pages(sf_dir, include_html=False)
 
@@ -84,15 +84,11 @@ def web_domain_stats(
             }
         )
 
-    totals = scrub_empty_blocks(
-        bucket_aggregate(
-            pages.map_batches(
-                count_partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["site"],
-            [("pages_p", "sum"), ("bytes_p", "sum")],
-            hash_col="h1",
-        )
+    totals = bucket_aggregate(
+        pages.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["site"],
+        [("pages_p", "sum"), ("bytes_p", "sum")],
+        hash_col="h1",
     ).map_batches(
         lambda b: pa.table(
             {
@@ -134,15 +130,11 @@ def web_domain_stats(
             }
         )
 
-    distinct_counts = scrub_empty_blocks(
-        bucket_aggregate(
-            distinct.map_batches(
-                distinct_partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["site"],
-            [("d_p", "sum")],
-            hash_col="h1",
-        )
+    distinct_counts = bucket_aggregate(
+        distinct.map_batches(distinct_partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["site"],
+        [("d_p", "sum")],
+        hash_col="h1",
     ).map_batches(
         lambda b: pa.table(
             {"site": b["site"], "n_distinct_texts": pc.cast(b["d_p_sum"], pa.int64())}
@@ -151,12 +143,7 @@ def web_domain_stats(
         zero_copy_batch=True,
     )
 
-    joined = totals.join(
-        distinct_counts,
-        join_type="inner",
-        on=("site",),
-        **join_kwargs(cfg, small=True),
-    )
+    joined = co_bucket(totals, distinct_counts, "site", merge_buckets(), arrow_join("site"))
     return joined.map_batches(
         lambda b: b.select(
             ["site", "n_pages", "n_distinct_texts", "total_text_bytes"]
@@ -219,13 +206,11 @@ def text_postings(
             }
         )
 
-    df = scrub_empty_blocks(
-        bucket_aggregate(
-            tf.map_batches(df_partial, batch_format="pyarrow", zero_copy_batch=True),
-            ["term"],
-            [("dfp", "sum")],
-            hash_col="h1",
-        )
+    df = bucket_aggregate(
+        tf.map_batches(df_partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["term"],
+        [("dfp", "sum")],
+        hash_col="h1",
     ).map_batches(
         lambda b: pa.table(
             {"term": b["term"], "n_docs": pc.cast(b["dfp_sum"], pa.int64())}
@@ -263,11 +248,9 @@ def text_postings(
             {"term": group["term"][:1], "sample_urls": joined.cast(pa.string())}
         )
 
-    sample = scrub_empty_blocks(
-        partial.groupby("term").map_groups(final_sample, batch_format="pyarrow")
-    )
+    sample = partial.groupby("term").map_groups(final_sample, batch_format="pyarrow")
 
-    out = df.join(sample, join_type="inner", on=("term",), **join_kwargs(cfg, small=True))
+    out = co_bucket(df, sample, "term", merge_buckets(), arrow_join("term"))
     return out.map_batches(
         lambda b: b.select(["term", "n_docs", "sample_urls"]),
         batch_format="pyarrow",
