@@ -1,6 +1,7 @@
 """Empty-corpus behavior: every corpus-facing operator must yield an empty
-result (correct schema, no crash). Ray's hash join cannot resolve key fields
-over a fully empty input, so the self-join pipelines short-circuit."""
+result (correct schema, no crash). A pair miner that finds no pair returns
+a typed empty table (``dedup._typed_pairs``), so it still exposes its
+output schema."""
 
 import os
 
@@ -39,9 +40,11 @@ def test_empty_corpus_operators(empty_sf):
     from virtuoso_quad_log_ray.pipelines import kg
     from virtuoso_quad_log_ray.stages import dedup as dd
     from virtuoso_quad_log_ray.stages import textstats as tx
+    from virtuoso_quad_log_ray.stages import webstats as ws
 
     cases = {
         "quads": kg.build_quads(empty_sf),
+        "graph_stats": kg.graph_stats(empty_sf),
         "dedup_exact": dd.dedup_pages_exact(empty_sf),
         "ngram": dd.ngram_jaccard_pairs(empty_sf),
         "minhash": dd.minhash_lsh_pairs(empty_sf),
@@ -49,6 +52,10 @@ def test_empty_corpus_operators(empty_sf):
         "lang_id": tx.lang_id(empty_sf),
         "winnow": tx.winnow_fingerprints(empty_sf),
         "quality": tx.text_quality(empty_sf),
+        "tfidf_top_terms": tx.tfidf_top_terms(empty_sf),
+        "sample_group_k": tx.sample_group_k(empty_sf),
+        "corpus_stats_by_lang": tx.corpus_stats_by_lang(empty_sf),
+        "text_postings": ws.text_postings(empty_sf),
     }
     for name, ds in cases.items():
         t = to_arrow(ds)

@@ -1,7 +1,8 @@
 """shuffle.by_bucket — the one bucketed shuffle every sink and per-key
-operator runs on — and its two-sided form shuffle.co_bucket, which every
-join runs on, called directly for a string and an integer key; plus the
-one-execution block reader shuffle.blocks_of."""
+operator runs on — its two-sided form shuffle.co_bucket, which every
+join runs on, and the grouped top-k shuffle.top_k, called directly for a
+string and an integer key; plus the one-execution block reader
+shuffle.blocks_of."""
 
 import numpy as np
 import pyarrow as pa
@@ -139,6 +140,45 @@ def test_co_bucket_joins_equal_one_table_join(kind, join_type):
     got = pa.concat_tables(got).select(want.column_names)
     order = [(c, "ascending") for c in want.column_names]
     assert got.sort_by(order).equals(want.sort_by(order))
+
+
+TOP_K = 4
+GROUP_SIZES = [1, 2, 3, 5, 9, 20]  # groups smaller and larger than TOP_K; sums to N_ROWS
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("kind", ["string", "int64"])
+def test_top_k_equals_one_sort_plus_rank(kind):
+    """``top_k`` over several blocks equals one whole-table sort by (key,
+    order) with a per-key ``row_number() <= k``: a descending order, ties
+    broken by a second order column, groups smaller and larger than k."""
+    import ray.data
+
+    from virtuoso_quad_log_ray.stages.shuffle import blocks_of, top_k
+
+    group = np.repeat(np.arange(len(GROUP_SIZES)), GROUP_SIZES)
+    perm = np.random.default_rng(7).permutation(N_ROWS)  # every block mixes groups
+    rows = pa.table(
+        {
+            "k": _keys(kind).take(pa.array(group[perm])),
+            "score": pa.array(perm % 3, type=pa.int64()),  # many ties
+            "rid": pa.array(perm, type=pa.int64()),
+        }
+    )
+    order = [("score", "descending"), ("rid", "ascending")]
+    want = []
+    for r in rows.sort_by([("k", "ascending"), *order]).to_pylist():
+        rank = want[-1]["rank"] + 1 if want and want[-1]["k"] == r["k"] else 1
+        want.append(r | {"rank": rank})
+    want = [r for r in want if r["rank"] <= TOP_K]
+
+    got = pa.concat_tables(blocks_of(top_k(_blocks(rows, 7), "k", order, TOP_K)))
+    assert got.column_names == ["k", "score", "rid", "rank"]
+    assert got.sort_by([("k", "ascending"), ("rank", "ascending")]).to_pylist() == want
+    assert len(want) == sum(min(n, TOP_K) for n in GROUP_SIZES)
+
+    empty = ray.data.from_arrow(rows.schema.empty_table())
+    assert blocks_of(top_k(empty, "k", order, TOP_K)) == []
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -35,6 +35,14 @@ from virtuoso_quad_log_ray.stages.extract_triples import (
     XSD_INTEGER,
     extract_triples,
 )
+from virtuoso_quad_log_ray.stages.shuffle import (
+    arrow_join,
+    bucket_aggregate,
+    by_bucket,
+    co_bucket,
+    default_n_buckets,
+    merge_buckets,
+)
 
 # ---------------------------------------------------------------------------
 # Shared SQL fragments (lockstep with the vectorized stages)
@@ -131,13 +139,11 @@ def dedup_quads(quads: ray.data.Dataset, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     separator key: the escape chain (faithful to the reference's
     vql_escape_chars) passes U+001F through, so any single-char-separator
     packing would silently corrupt literals containing it (ADVICE r1).
-    ``groupby().count()`` pre-aggregates per block BEFORE the hash shuffle,
-    so only distinct quads move. Never map_groups over millions of
+    An in-batch combiner collapses duplicates BEFORE the ``bucket_aggregate``
+    exchange, so only distinct quads move. Never map_groups over millions of
     single-row groups.
     """
     from virtuoso_quad_log_ray.stages.dedup import _hash128
-    from virtuoso_quad_log_ray.stages.shuffle import bucket_aggregate
-
     def keyed(b: pa.Table) -> pa.Table:
         # in-batch combiner: collapse duplicate quads before the shuffle
         t = b.select(["s", "p", "o", "g"]).group_by(["s", "p", "o", "g"]).aggregate([])
@@ -163,11 +169,22 @@ DEDUP_QUADS_SQL = sql_with_pages("SELECT DISTINCT s, p, o, g FROM quads", QUADS_
 def graph_stats(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.Dataset:
     """A1/A6 — per-graph quad counts (the '# amount' header field and the
     quad_count/file_count report counters, buffer_nquads.sql:14-15,52-58).
-    Ray's native count() pre-aggregates per block and is vectorized for a
-    single Count — measured on par with the bucketed path here, so the
-    simpler form stays."""
-    quads = build_quads(sf_dir, cfg)
-    return quads.groupby("g").count().rename_columns({"count()": "n_quads"})
+    Each block counts its graphs first (graph = url, so a block's quads
+    collapse to one row per page), and ``bucket_aggregate`` sums the
+    partials."""
+
+    def counts(b: pa.Table) -> pa.Table:
+        part = b.select(["g"]).group_by("g").aggregate([([], "count_all")])
+        return pa.table({"g": part["g"], "n": part["count_all"]})
+
+    quads = build_quads(sf_dir, cfg).map_batches(
+        counts, batch_format="pyarrow", zero_copy_batch=True
+    )
+    return bucket_aggregate(quads, ["g"], [("n", "sum")]).map_batches(
+        lambda b: pa.table({"g": b["g"], "n_quads": b["n_sum"]}),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
 
 
 GRAPH_STATS_SQL = sql_with_pages(
@@ -196,8 +213,6 @@ def chunk_plan(
     global sort (the reference's ORDER BY ?g, dump_nquads.sql:49, is
     unnecessary under hashing).
     """
-    from virtuoso_quad_log_ray.stages.shuffle import by_bucket, default_n_buckets
-
     maxq = max_quads_per_file or cfg.max_quads_per_file
 
     def assign(bucket: int, group: pa.Table) -> pa.Table:
@@ -297,12 +312,6 @@ def entity_degree(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.D
     (canon, surface) set. One canon-keyed join of two entity-sized tables.
     """
     from virtuoso_quad_log_ray.numerics import hash128 as _h128
-    from virtuoso_quad_log_ray.stages.shuffle import (
-        arrow_join,
-        bucket_aggregate,
-        co_bucket,
-        merge_buckets,
-    )
 
     links = entity_links(sf_dir, cfg)
 
@@ -421,8 +430,6 @@ def entity_cooccur(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.
     cannot explode a block.
     """
     from virtuoso_quad_log_ray.numerics import hash128 as _h128
-    from virtuoso_quad_log_ray.stages.shuffle import bucket_aggregate
-
     links = entity_links(sf_dir, cfg)
 
     def pair_partial(b: pa.Table) -> pa.Table:

@@ -16,18 +16,25 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Sum
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.numerics import half_away_int64, scaled_int_array
-from virtuoso_quad_log_ray.stages.shuffle import arrow_join, by_bucket, co_bucket, merge_buckets
+from virtuoso_quad_log_ray.stages.shuffle import (
+    arrow_join,
+    bucket_aggregate,
+    by_bucket,
+    co_bucket,
+    merge_buckets,
+    top_k,
+)
 
 
 # --- Q1-style scan + groupby aggregate (A1 counters analog) ---------------
 
 def pricing_summary(sf_dir: str) -> ray.data.Dataset:
     """lineitem pricing summary: filter on ship date, group by flag/status,
-    Sum/Mean/Count aggregates (pre-aggregated per block before the shuffle)."""
+    Sum/Mean/Count aggregates (pre-aggregated per block before the
+    ``bucket_aggregate`` exchange)."""
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
@@ -43,9 +50,7 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
         # scale. Integer sums are exact and associative in both engines.
         # Filter compares TIMESTAMPS (string renderings differ per engine).
         # Then PRE-AGGREGATE inside the block (pyarrow C++ group_by): only
-        # ~|groups| partial rows per block reach the shuffle — Ray's
-        # multi-agg combine is per-row Python, so feeding it raw rows was
-        # the r2 regression's cost floor (VERDICT r2 #4).
+        # ~|groups| partial rows per block reach the shuffle.
         b = b.filter(pc.less_equal(pc.cast(b["l_shipdate"], pa.timestamp("us")), cutoff))
         rows = pa.table(
             {
@@ -70,22 +75,22 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    agg = (
-        li.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("qty_c"), Sum("price_c"), Sum("disc_ppm"), Sum("n"))
+    agg = bucket_aggregate(
+        li.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"],
+        [("qty_c", "sum"), ("price_c", "sum"), ("disc_ppm", "sum"), ("n", "sum")],
     )
 
     def shape(batch: pa.Table) -> pa.Table:
-        n = pc.cast(batch["sum(n)"], pa.int64())
-        sum_disc = pc.cast(batch["sum(disc_ppm)"], pa.float64()).to_numpy(zero_copy_only=False)
+        n = pc.cast(batch["n_sum"], pa.int64())
+        sum_disc = pc.cast(batch["disc_ppm_sum"], pa.float64()).to_numpy(zero_copy_only=False)
         n_np = n.to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "l_returnflag": batch["l_returnflag"],
                 "l_linestatus": batch["l_linestatus"],
-                "sum_qty_c": pc.cast(batch["sum(qty_c)"], pa.int64()),
-                "sum_price_c": pc.cast(batch["sum(price_c)"], pa.int64()),
+                "sum_qty_c": pc.cast(batch["qty_c_sum"], pa.int64()),
+                "sum_price_c": pc.cast(batch["price_c_sum"], pa.int64()),
                 "avg_disc_ppm": pa.array(half_away_int64(sum_disc / n_np)),
                 "n_rows": n,
             }
@@ -147,14 +152,14 @@ def revenue_by_nation(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.da
     from virtuoso_quad_log_ray.stages.shuffle import actor_kwargs
 
     joined = orders.map_batches(AttachNation, **actor_kwargs(max_pool=4))
-    agg = joined.groupby("n_name").aggregate(Sum("price_c"), Count())
+    agg = bucket_aggregate(joined, ["n_name"], [("price_c", "sum"), ("price_c", "count")])
 
     def shape(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "n_name": batch["n_name"],
-                "revenue_c": pc.cast(batch["sum(price_c)"], pa.int64()),
-                "n_orders": pc.cast(batch["count()"], pa.int64()),
+                "revenue_c": pc.cast(batch["price_c_sum"], pa.int64()),
+                "n_orders": pc.cast(batch["price_c_count"], pa.int64()),
             }
         )
 
@@ -209,8 +214,6 @@ def events_hourly(sf_dir: str) -> ray.data.Dataset:
     Python at ~40-100us/row (measured: 4.1 s remote wall for a 100k-row
     table, the r3 bench regression's floor), the bucketed C++ combine is
     O(partials) vectorized."""
-    from virtuoso_quad_log_ray.stages.shuffle import bucket_aggregate
-
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
 
     def window(batch: pa.Table) -> pa.Table:
@@ -271,52 +274,25 @@ GROUP BY 1, 2
 def latest_event_per_user(sf_dir: str) -> ray.data.Dataset:
     """Latest event per user (order by ts, tie-break event_id) — the
     checkpoint-cursor idiom (the reference's 'last trx log processed',
-    generate-rdfpatch.sh:44-45) as a groupby-max.
-
-    Implemented as per-block partial latest + one tiny groupby(map_groups)
-    over num_users groups."""
+    generate-rdfpatch.sh:44-45) as a grouped top-1: one ``shuffle.top_k``
+    with k = 1, so each block keeps one row per user before the
+    exchange."""
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type", "value"]
     )
-
-    def partial_latest(batch: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            batch,
-            sort_keys=[("user_id", "ascending"), ("ts", "descending"), ("event_id", "descending")],
-        )
-        t = batch.take(idx)
-        users = t["user_id"].to_numpy()
-        first_pos = np.unique(users, return_index=True)[1]
-        return t.take(pa.array(np.sort(first_pos)))
-
-    partial = ev.map_batches(partial_latest, batch_format="pyarrow", zero_copy_batch=True)
-
-    # Merge phase: bucket on user_id % nb and resolve EVERY user in a bucket
-    # with one vectorized sort + segment-first — never map_groups over
-    # millions of single-user groups (the chunk_plan scale-killer pattern).
-    def merge_bucket(_, group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            group,
-            sort_keys=[
-                ("user_id", "ascending"),
-                ("ts", "descending"),
-                ("event_id", "descending"),
-            ],
-        )
-        t = group.take(idx)
-        users = t["user_id"].to_numpy(zero_copy_only=False)
-        first = np.unique(users, return_index=True)[1]  # ascending users ->
-        t = t.take(pa.array(np.sort(first)))  # first row per user = latest
-        return pa.table(
+    latest = top_k(ev, "user_id", [("ts", "descending"), ("event_id", "descending")], 1)
+    return latest.map_batches(
+        lambda t: pa.table(
             {
                 "user_id": pc.cast(t["user_id"], pa.int64()),
                 "last_event_id": pc.cast(t["event_id"], pa.int64()),
                 "last_type": t["event_type"],
                 "last_value_c": _cents(t["value"]),
             }
-        )
-
-    return by_bucket(partial, "user_id", merge_buckets(), merge_bucket)
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
 
 
 LATEST_EVENT_SQL = """
@@ -416,18 +392,18 @@ def filtered_event_stats(sf_dir: str) -> ray.data.Dataset:
         )
         return batch.filter(keep)
 
-    agg = (
-        ev.map_batches(filt, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(Count(), Max("value"))
+    agg = bucket_aggregate(
+        ev.map_batches(filt, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type"],
+        [("value", "count"), ("value", "max")],
     )
 
     def shape(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "event_type": batch["event_type"],
-                "n_events": pc.cast(batch["count()"], pa.int64()),
-                "max_value_c": _cents(batch["max(value)"]),
+                "n_events": pc.cast(batch["value_count"], pa.int64()),
+                "max_value_c": _cents(batch["value_max"]),
             }
         )
 
@@ -624,10 +600,10 @@ TOPK_PER_GROUP = 3
 def top_orders_by_priority(sf_dir: str, k: int = TOPK_PER_GROUP) -> ray.data.Dataset:
     """Top-k orders by totalprice per order priority — the grouped form of
     the reference's sort/limit idiom (G7, rdfdump.sh's newest-first file
-    ordering) as a distributed partial-top-k combiner: every block keeps at
-    most k rows per group (one C++ sort + run-length slice), so only
-    |groups| x k rows per block cross the exchange; the final per-group
-    merge re-ranks k x |blocks| rows. No global sort at any scale.
+    ordering) as one ``shuffle.top_k``: every block keeps at most k rows
+    per priority, so only |groups| x k rows per block cross the exchange,
+    and each bucket task re-cuts and ranks its priorities. No global sort
+    at any scale.
 
     Ordering key is the integer cents price (descending, o_orderkey
     ascending tie-break) so ties resolve identically in the SQL oracle."""
@@ -635,44 +611,19 @@ def top_orders_by_priority(sf_dir: str, k: int = TOPK_PER_GROUP) -> ray.data.Dat
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderpriority", "o_totalprice"],
     )
-
-    def topk_block(b: pa.Table) -> pa.Table:
-        t = pa.table(
+    priced = ds.map_batches(
+        lambda b: pa.table(
             {
                 "o_orderpriority": b["o_orderpriority"],
                 "o_orderkey": pc.cast(b["o_orderkey"], pa.int64()),
                 "price_c": _cents(b["o_totalprice"]),
             }
-        )
-        idx = pc.sort_indices(
-            t,
-            sort_keys=[
-                ("o_orderpriority", "ascending"),
-                ("price_c", "descending"),
-                ("o_orderkey", "ascending"),
-            ],
-        )
-        t = t.take(idx)
-        pri = t["o_orderpriority"].to_numpy(zero_copy_only=False)
-        # rank within each priority run of the sorted block (vectorized
-        # run-length): keep rank < k
-        starts = np.flatnonzero(np.r_[True, pri[1:] != pri[:-1]])
-        run_id = np.cumsum(np.r_[True, pri[1:] != pri[:-1]]) - 1
-        rank = np.arange(len(pri)) - starts[run_id]
-        return t.filter(pa.array(rank < k))
-
-    partial = ds.map_batches(topk_block, batch_format="pyarrow", zero_copy_batch=True)
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            group,
-            sort_keys=[("price_c", "descending"), ("o_orderkey", "ascending")],
-        )
-        t = group.take(idx[: min(k, len(idx))])
-        return t.append_column("rank", pa.array(np.arange(1, len(t) + 1)))
-
-    return partial.groupby("o_orderpriority").map_groups(
-        final_topk, batch_format="pyarrow"
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    return top_k(
+        priced, "o_orderpriority", [("price_c", "descending"), ("o_orderkey", "ascending")], k
     )
 
 
@@ -701,8 +652,9 @@ def value_quantiles(sf_dir: str) -> ray.data.Dataset:
     """EXACT p50/p90/p99 of the integer-cents event value per event_type,
     computed distributed without a global sort: each block collapses to
     (event_type, value_c) -> count partials (pyarrow C++ group_by), the
-    bucketed vectorized aggregate merges counts, and one tiny map_groups
-    walks each type's cumulative histogram. Only |distinct values| rows
+    bucketed vectorized aggregate merges counts, and one ``by_bucket``
+    pass on event_type walks the cumulative histogram of every type in
+    its bucket. Only |distinct values| rows
     ever cross the exchange — for discretized metrics (cents, ms, token
     counts) that is data-size-independent, so this scales where a
     sort-based quantile is an all-to-all.
@@ -713,8 +665,6 @@ def value_quantiles(sf_dir: str) -> ray.data.Dataset:
     (e.g. 0.99 * 100 = 99.000000000000014), which would shift the picked
     element."""
     from fractions import Fraction
-
-    from virtuoso_quad_log_ray.stages.shuffle import bucket_aggregate
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
@@ -742,20 +692,20 @@ def value_quantiles(sf_dir: str) -> ray.data.Dataset:
 
     fracs = [(Fraction(str(q)), name) for q, name in QUANTILE_QS]
 
-    def qtile(group: pa.Table) -> pa.Table:
-        vals = group["value_c"].to_numpy(zero_copy_only=False)
-        ns = group["n_sum"].to_numpy(zero_copy_only=False)
-        order = np.argsort(vals)
-        vals, ns = vals[order], ns[order]
-        cum = np.cumsum(ns)
-        n = int(cum[-1])
-        out: dict[str, list] = {"event_type": [group["event_type"][0].as_py()]}
+    def qtile(_, rows: pa.Table) -> pa.Table:
+        t = rows.sort_by([("event_type", "ascending"), ("value_c", "ascending")])
+        types = t["event_type"].to_numpy(zero_copy_only=False)
+        cum = np.cumsum(t["n_sum"].to_numpy(zero_copy_only=False))
+        ends = np.flatnonzero(np.r_[types[1:] != types[:-1], True])  # last row per type
+        before = np.r_[0, cum[ends[:-1]]]
+        n = cum[ends] - before
+        out = {"event_type": t["event_type"].take(ends)}
         for q, name in fracs:
-            target = max(1, -((-q.numerator * n) // q.denominator))  # exact ceil(q*n)
-            out[name] = [int(vals[np.searchsorted(cum, target, side="left")])]
+            rank = np.maximum(1, -((-q.numerator * n) // q.denominator))  # exact ceil(q*n)
+            out[name] = t["value_c"].take(np.searchsorted(cum, before + rank, side="left"))
         return pa.table(out)
 
-    return merged.groupby("event_type").map_groups(qtile, batch_format="pyarrow")
+    return by_bucket(merged, "event_type", merge_buckets(), qtile)
 
 
 VALUE_QUANTILES_SQL = (
@@ -786,8 +736,6 @@ def events_sliding(sf_dir: str) -> ray.data.Dataset:
 
     Window starts are int64 epoch seconds (aligned to slide boundaries) on
     both engine and oracle — no timestamp rendering in the compare."""
-    from virtuoso_quad_log_ray.stages.shuffle import bucket_aggregate
-
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     )

@@ -101,18 +101,19 @@ def _rank_nodes(distinct_nodes: ray.data.Dataset) -> ray.data.Dataset:
     url: the fixpoint can propagate 8-byte ids and still produce the
     lexicographic canon. Ray Data has no scan/rank operator, so this drops
     to raw tasks for exactly the part the Dataset API can't express: after
-    a sort, per-block row COUNTS (metadata, one int per block) come back
-    to the driver, a cumsum turns them into block offsets, and one tiny
+    a sort, each block's row COUNT comes from its ref bundle's metadata, a
+    cumsum on the driver turns the counts into block offsets, and one tiny
     task per block appends offset+arange. Block payloads never touch the
-    driver."""
+    driver. Zero-row blocks (empty sort partitions, which carry no schema)
+    are skipped by their metadata, as in ``shuffle.blocks_of``."""
     import numpy as np
 
-    sorted_nodes = distinct_nodes.sort("node").materialize()
-    refs = sorted_nodes.to_arrow_refs()
-
-    @ray.remote(num_cpus=0.25)
-    def _n(t: pa.Table) -> int:
-        return t.num_rows
+    blocks = [
+        (ref, meta.num_rows)
+        for bundle in distinct_nodes.sort("node").iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows != 0
+    ]
 
     @ray.remote(num_cpus=0.25)
     def _with_ids(t: pa.Table, off: int) -> pa.Table:
@@ -123,12 +124,9 @@ def _rank_nodes(distinct_nodes: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
-    counts = ray.get([_n.remote(r) for r in refs])
-    offsets = np.concatenate([[0], np.cumsum(counts[:-1])]) if counts else []
-    # skip empty sort partitions: their blocks carry no schema, so
-    # _with_ids would KeyError on t["node"] (and they contribute no ids)
+    offsets = np.cumsum([0] + [n for _, n in blocks[:-1]])
     return ray.data.from_arrow_refs(
-        [_with_ids.remote(r, int(o)) for r, o, n in zip(refs, offsets, counts) if n]
+        [_with_ids.remote(ref, int(off)) for (ref, _), off in zip(blocks, offsets)]
     )
 
 

@@ -227,9 +227,19 @@ def ngram_jaccard_pairs(
         # exact. The filter key is the 64-bit s1 alone — a collision only
         # drops an extra (boilerplate-adjacent) shingle on this
         # already-approximate path.
-        freq = _shingle_rows(sf_dir, n).groupby(["s1", "s2"]).count()
+        def counts(b: pa.Table) -> pa.Table:
+            part = b.group_by(["s1", "s2"]).aggregate([([], "count_all")])
+            return pa.table({"s1": part["s1"], "s2": part["s2"], "n": part["count_all"]})
+
+        freq = bucket_aggregate(
+            _shingle_rows(sf_dir, n).map_batches(
+                counts, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ["s1", "s2"],
+            [("n", "sum")],
+        )
         hot = freq.map_batches(
-            lambda b: b.filter(pc.greater(b["count()"], max_shingle_freq)).select(["s1"]),
+            lambda b: b.filter(pc.greater(b["n_sum"], max_shingle_freq)).select(["s1"]),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )

@@ -7,13 +7,20 @@ vectorized call (the graph-splitter's repartition by graph,
 split-graphs.sh:73-141, generalized to bounded fan-out). The bucket comes
 from the key column's type (:func:`_bucket_of`): a string key is hashed
 with ``numerics.hash128``, an integer key is its own hash,
-``uint64(key) % n``. Every hash-bucket groupby in the engine runs through
-it: the file sinks (snapshot, patch, JSONL, WARC), ``kg.chunk_plan``,
-:func:`bucket_aggregate`, and the per-key merges (relational
-latest/sessions/as-of/range, the top-k merge, ``textstats.pack_plan``,
-the MinHash-LSH band exchange). Bucket counts: :func:`default_n_buckets`
-for on-disk layouts and corpus-sized exchanges, :func:`merge_buckets` for
-per-key merges and joins.
+``uint64(key) % n``. Every keyed exchange in the engine runs through it:
+the file sinks (snapshot, patch, JSONL, WARC), ``kg.chunk_plan``,
+:func:`bucket_aggregate` and its users, :func:`top_k`, the per-key merges
+(relational latest/sessions/as-of/range/quantiles, the HLL register
+merge, ``textstats.pack_plan``, ``textstats.shuffle_shards``, the
+MinHash-LSH band exchange). The only other all-to-alls are the two sorts
+whose output IS a global order (``canonicalize._rank_nodes`` and
+``relational.top_orders``). Bucket counts: :func:`default_n_buckets` for
+on-disk layouts and corpus-sized exchanges, :func:`merge_buckets` for
+per-key merges, aggregates and joins.
+
+Grouped top-k. :func:`top_k` keeps the first ``k`` rows per key in a
+given order: a per-block combiner cuts each key to ``k`` rows before the
+exchange, and one :func:`by_bucket` pass cuts again and ranks.
 
 Joins. :func:`co_bucket` is the two-sided form of the same exchange:
 both inputs are keyed by the same ``_bucket_of(row[key], n)``, and
@@ -91,7 +98,8 @@ def default_n_buckets() -> int:
 
 def merge_buckets() -> int:
     """Bucket count of the per-key merges (latest event, sessions, as-of,
-    range window, top-k) and of the joins: 2 per live CPU, floor 8."""
+    range window, top-k), of :func:`bucket_aggregate` and of the joins:
+    2 per live CPU, floor 8."""
     return max(8, cluster_cpus() * 2)
 
 
@@ -264,12 +272,45 @@ def bucket_aggregate(
 
     ``hash_col`` names an integer column uniformly distributed across keys
     (e.g. a 64-bit content hash that determines the key); defaults to
-    keys[0]. Output columns: keys + pyarrow's "{col}_{fn}" names.
+    keys[0]. ``n_buckets`` defaults to :func:`merge_buckets`. Output
+    columns: keys + pyarrow's "{col}_{fn}" names.
     """
-    nb = n_buckets or max(4, cluster_cpus())
+    nb = n_buckets or merge_buckets()
     return by_bucket(
         ds, hash_col or keys[0], nb, lambda _, rows: rows.group_by(keys).aggregate(aggs)
     )
+
+
+def top_k(
+    ds: ray.data.Dataset, key: str, order: list[tuple[str, str]], k: int, *, rank: str = "rank"
+) -> ray.data.Dataset:
+    """Grouped top-k: the first ``k`` rows of every ``key`` in ``order``
+    (``(column, "ascending" | "descending")`` pairs, the tie-breaks
+    included), with their 1-based position in a ``rank`` column appended
+    (SQL's ``row_number() OVER (PARTITION BY key ORDER BY order) <= k``).
+
+    Each block first keeps at most ``k`` rows per key (the combiner), so
+    at most ``k`` x |keys| rows per block cross the exchange, never a
+    corpus-sized group; one :func:`by_bucket` pass then cuts every key of
+    a bucket the same way and ranks it. Lazy: the caller executes it."""
+    sort_keys = [(key, "ascending"), *order]
+
+    def cut(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+        t = t.sort_by(sort_keys)
+        keys = t[key].to_numpy(zero_copy_only=False)
+        change = np.empty(len(keys), dtype=bool)
+        change[:1] = True
+        change[1:] = keys[1:] != keys[:-1]
+        pos = np.arange(len(keys)) - np.flatnonzero(change)[np.cumsum(change) - 1]
+        keep = pos < k
+        return t.filter(pa.array(keep)), pos[keep]
+
+    def ranked(_, rows: pa.Table) -> pa.Table:
+        t, pos = cut(rows)
+        return t.append_column(rank, pa.array(pos + 1, type=pa.int64()))
+
+    partial = ds.map_batches(lambda b: cut(b)[0], batch_format="pyarrow", zero_copy_batch=True)
+    return by_bucket(partial, key, merge_buckets(), ranked)
 
 
 def blocks_of(ds: ray.data.Dataset) -> list[pa.Table]:

@@ -32,6 +32,7 @@ from virtuoso_quad_log_ray.stages.shuffle import (
     co_bucket,
     default_n_buckets,
     merge_buckets,
+    top_k,
 )
 
 
@@ -119,41 +120,20 @@ class BruteForceTopK:
 
 
 def _topk_merge(partial: ray.data.Dataset, k: int) -> ray.data.Dataset:
-    """(query_id, neighbor_id, sim) partials -> global top-k per query.
-
-    Queries are bucketed (query_id % nb); each bucket resolves ALL its
-    queries in one vectorized sort + segment-rank pass — no per-query
-    map_groups (one Python call per query does not survive large query
-    sets). Self-matches are dropped; ties break on neighbor_id.
-    """
-
-    def merge_bucket(_, group: pa.Table) -> pa.Table:
-        g = group.filter(pc.not_equal(group["query_id"], group["neighbor_id"]))
-        order = pc.sort_indices(
-            g,
-            sort_keys=[
-                ("query_id", "ascending"),
-                ("sim", "descending"),
-                ("neighbor_id", "ascending"),
-            ],
-        )
-        t = g.take(order)
-        qid = t["query_id"].to_numpy(zero_copy_only=False)
-        n = len(qid)
-        first = np.unique(qid, return_index=True)[1]
-        group_start = np.repeat(first, np.diff(np.append(first, n)))
-        pos = np.arange(n, dtype=np.int64) - group_start
-        keep = pos < k
-        mask = pa.array(keep)
-        return pa.table(
-            {
-                "query_id": pc.cast(pc.filter(t["query_id"], mask), pa.int64()),
-                "rank": pa.array(pos[keep] + 1),
-                "neighbor_id": pc.cast(pc.filter(t["neighbor_id"], mask), pa.int64()),
-            }
-        )
-
-    return by_bucket(partial, "query_id", merge_buckets(), merge_bucket)
+    """(query_id, neighbor_id, sim) partials -> global top-k per query:
+    self-matches dropped, then one ``shuffle.top_k`` per query_id, ties
+    broken on neighbor_id."""
+    others = partial.map_batches(
+        lambda b: b.filter(pc.not_equal(b["query_id"], b["neighbor_id"])),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    ranked = top_k(others, "query_id", [("sim", "descending"), ("neighbor_id", "ascending")], k)
+    return ranked.map_batches(
+        lambda b: b.select(["query_id", "rank", "neighbor_id"]),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
 
 
 def ann_topk(

@@ -8,7 +8,8 @@ ideal combiner pattern:
 
   map_batches  -> ONE row per (key, block): the block's 2^p uint8 register
                   blob (numpy scatter-max, fully vectorized)
-  groupby(key) -> np.maximum.reduce over the few per-block blobs
+  by_bucket    -> per bucket, np.maximum.reduceat over the per-block blobs
+                  of every key in it (shuffle.by_bucket on key)
   finalize     -> the standard HLL estimator (+ linear-counting small-range
                   correction) on register counts
 
@@ -26,6 +27,12 @@ import pyarrow.compute as pc
 import ray.data
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
+from virtuoso_quad_log_ray.stages.shuffle import (
+    blocks_of,
+    bucket_aggregate,
+    by_bucket,
+    merge_buckets,
+)
 
 HLL_P = 12  # 2^12 = 4096 registers, ~1.6% standard error
 _M = 1 << HLL_P
@@ -138,26 +145,21 @@ def hll_distinct(
             }
         )
 
-    def merge(group: pa.Table) -> pa.Table:
-        blobs = group["regs"]
-        if isinstance(blobs, pa.ChunkedArray):
-            blobs = blobs.combine_chunks()
-        mat = np.stack(
-            [np.frombuffer(v.as_py(), dtype=np.uint8) for v in blobs]
-        )
-        merged = np.maximum.reduce(mat, axis=0)
+    def merge(_, rows: pa.Table) -> pa.Table:
+        t = rows.sort_by("key")
+        keys = t["key"].to_numpy(zero_copy_only=False)
+        mat = np.stack([np.frombuffer(v.as_py(), dtype=np.uint8) for v in t["regs"]])
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        merged = np.maximum.reduceat(mat, starts, axis=0)
         return pa.table(
             {
-                "key": pa.array([group["key"][0].as_py()], type=pa.string()),
-                "approx_distinct": pa.array([_estimate(merged)], type=pa.int64()),
+                "key": t["key"].take(starts),
+                "approx_distinct": pa.array([_estimate(m) for m in merged], type=pa.int64()),
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("key")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return by_bucket(partials, "key", merge_buckets(), merge)
 
 
 def _sql_mulmod64(expr: str, c: int) -> str:
@@ -282,7 +284,6 @@ def heavy_hitters_over(
     import math
 
     from virtuoso_quad_log_ray.numerics import hash128 as _h128
-    from virtuoso_quad_log_ray.stages.shuffle import blocks_of, bucket_aggregate
 
     k = int(math.ceil(2.0 / phi))
 

@@ -19,7 +19,15 @@ import ray.data
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.numerics import half_away_int64, hash128 as _h128
 from virtuoso_quad_log_ray.sources.pages import PAGES_SQL_CTE, read_pages
-from virtuoso_quad_log_ray.stages.shuffle import actor_kwargs, by_bucket
+from virtuoso_quad_log_ray.stages.shuffle import (
+    actor_kwargs,
+    arrow_join,
+    bucket_aggregate,
+    by_bucket,
+    co_bucket,
+    merge_buckets,
+    top_k,
+)
 
 STOPWORDS = ("the", "a")
 
@@ -365,9 +373,8 @@ CORPUS_FILTER_SQL = (
 def corpus_stats_by_lang(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.Dataset:
     """Per-language corpus accounting: pages, total/mean tokens, total
     chars — the budget table a multilingual pipeline reports per shard.
-    Pre-aggregated per block before the tiny groupby(lang) shuffle."""
-    from ray.data.aggregate import Count, Sum
-
+    Pre-aggregated per block before the tiny ``bucket_aggregate`` exchange
+    on lang."""
     pages = read_pages(sf_dir, include_html=False)
 
     def prep(b: pa.Table) -> pa.Table:
@@ -380,19 +387,19 @@ def corpus_stats_by_lang(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray
             }
         )
 
-    agg = (
-        pages.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .aggregate(Count(), Sum("n_tokens"), Sum("n_chars"))
+    agg = bucket_aggregate(
+        pages.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        ["lang"],
+        [("n_tokens", "count"), ("n_tokens", "sum"), ("n_chars", "sum")],
     )
 
     def shape(b: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "lang": b["lang"],
-                "n_pages": pc.cast(b["count()"], pa.int64()),
-                "total_tokens": pc.cast(b["sum(n_tokens)"], pa.int64()),
-                "total_chars": pc.cast(b["sum(n_chars)"], pa.int64()),
+                "n_pages": pc.cast(b["n_tokens_count"], pa.int64()),
+                "total_tokens": pc.cast(b["n_tokens_sum"], pa.int64()),
+                "total_chars": pc.cast(b["n_chars_sum"], pa.int64()),
             }
         )
 
@@ -451,10 +458,7 @@ def corpus_curate(
     per content key IS the keep-first dedup (identical texts agree on
     n_tokens). Shard assignment is a pure per-row map on the survivors.
     """
-    from virtuoso_quad_log_ray.numerics import hash128 as _h128
-
     pages = read_pages(sf_dir, include_html=False)
-    from virtuoso_quad_log_ray.stages.shuffle import bucket_aggregate
 
     def gate_and_key(b: pa.Table) -> pa.Table:
         text = b["text"]
@@ -840,8 +844,6 @@ def lang_id(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> ray.data.Dataset
 
     # partial counts per block -> one small groupby (model fits the driver)
 
-    from virtuoso_quad_log_ray.stages.shuffle import bucket_aggregate
-
     counts = bucket_aggregate(
         docs.map_batches(per_block, batch_format="pyarrow", zero_copy_batch=True),
         ["lang", "tri"],
@@ -970,7 +972,6 @@ def contamination(
     Output: (url, n_shingles, n_contaminated, contam_ppm) for every train
     page with at least one shingle."""
     from virtuoso_quad_log_ray.stages.dedup import _shingle_rows
-    from virtuoso_quad_log_ray.stages.shuffle import bucket_aggregate, merge_buckets
 
     n = cfg.shingle_size
 
@@ -1244,17 +1245,10 @@ def tfidf_top_terms(
          C++ aggregate — only |block vocab| rows per block cross the wire.
       3. TF joins DF on the term (a ``co_bucket`` join; the vocabulary is
          never broadcast — at web scale DF tables outgrow any driver).
-      4. Per-block partial top-k per url (<= k rows per url per block leave
-         the block), then a per-url final merge re-ranks k x |blocks| rows.
+      4. ``shuffle.top_k`` per url: <= k rows per url per block leave the
+         block, and one bucketed pass re-ranks k x |blocks| rows per url.
     """
     pages = read_pages(sf_dir, include_html=False)
-    from virtuoso_quad_log_ray.numerics import hash128 as _h128
-    from virtuoso_quad_log_ray.stages.shuffle import (
-        arrow_join,
-        bucket_aggregate,
-        co_bucket,
-        merge_buckets,
-    )
 
     def tf_batch(b: pa.Table) -> pa.Table:
         text = b["text"]
@@ -1302,25 +1296,8 @@ def tfidf_top_terms(
 
     joined = co_bucket(tf, df, "term", merge_buckets(), arrow_join("term"))
 
-    sort_keys = [("tf", "descending"), ("df", "ascending"), ("term", "ascending")]
-
-    def topk_block(b: pa.Table) -> pa.Table:
-        t = b.select(["url", "term", "tf", "df"])
-        t = t.take(pc.sort_indices(t, sort_keys=[("url", "ascending")] + sort_keys))
-        u = t["url"].to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        run_id = np.cumsum(np.r_[True, u[1:] != u[:-1]]) - 1
-        rank = np.arange(len(u)) - starts[run_id]
-        return t.filter(pa.array(rank < k))
-
-    partial = joined.map_batches(topk_block, batch_format="pyarrow", zero_copy_batch=True)
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        t = group.take(pc.sort_indices(group, sort_keys=sort_keys))
-        t = t.slice(0, min(k, len(t)))
-        return t.append_column("rank", pa.array(np.arange(1, len(t) + 1)))
-
-    return partial.groupby("url").map_groups(final_topk, batch_format="pyarrow")
+    order = [("tf", "descending"), ("df", "ascending"), ("term", "ascending")]
+    return top_k(joined, "url", order, k)
 
 
 def tfidf_top_terms_sql(k: int = TFIDF_TOP_K) -> str:
@@ -1361,14 +1338,11 @@ def shuffle_shards(
     alone, and stable across cluster sizes/resumes; ``ds.random_shuffle``
     gives none of those). Changing the seed reshuffles; re-running does not.
 
-    Distributed shape: the one legitimate all-to-all here is the global
-    sort by (shard, hashkey) — a total order is the OUTPUT, not an
-    implementation choice. Ranking over the sorted blocks is the
-    zip-with-index pattern of ``canonicalize._rank_nodes``: per-block row
-    counts and per-block (shard, first-rank) minima — metadata, a few ints
-    per block — come back to the driver, a cumsum/min turns them into
-    offsets, and one tiny task per block appends offset+arange. Block
-    payloads never touch the driver. md5 is a per-row Python loop by
+    Distributed shape: one ``shuffle.by_bucket`` pass with shard s as
+    bucket s (an integer key is its own bucket), so each bucket task holds
+    one whole shard, sorts it by (hashkey, url) and numbers it 1..n. The
+    order is only ever needed within a shard, so no global sort runs and
+    no offsets come back to the driver. md5 is a per-row Python loop by
     oracle-pinned necessity in oracle_mode; production (oracle_mode=False)
     keys on the vectorized 128-bit hash of the salted url instead
     (VERDICT r4 #4) — a different (equally uniform, deterministic)
@@ -1410,57 +1384,13 @@ def shuffle_shards(
             }
         )
 
-    sorted_ds = (
-        pages.map_batches(key, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["shard", "k", "url"])
-        .materialize()
-    )
-    refs = sorted_ds.to_arrow_refs()
+    def number(_, shard: pa.Table) -> pa.Table:
+        t = shard.sort_by([("k", "ascending"), ("url", "ascending")])
+        pos = pa.array(np.arange(1, t.num_rows + 1, dtype=np.int64))
+        return pa.table({"url": t["url"], "shard": t["shard"], "pos": pos})
 
-    @ray.remote(num_cpus=0.25)
-    def _meta(t: pa.Table) -> tuple:
-        """(row count, per-shard first local index) — metadata only."""
-        if t.num_rows == 0:  # empty sort partitions carry no schema
-            return 0, {}
-        sh = t["shard"].to_numpy(zero_copy_only=False)
-        firsts = {}
-        change = np.flatnonzero(np.diff(sh, prepend=sh[0] - 1 if len(sh) else 0))
-        for i in change:
-            firsts[int(sh[i])] = int(i)
-        return t.num_rows, firsts
-
-    @ray.remote(num_cpus=0.25)
-    def _with_pos(t: pa.Table, off: int, starts: dict) -> pa.Table:
-        sh = t["shard"].to_numpy(zero_copy_only=False)
-        grank = np.arange(off, off + t.num_rows, dtype=np.int64)
-        start_arr = np.fromiter(
-            (starts[int(s)] for s in sh), dtype=np.int64, count=len(sh)
-        )
-        return pa.table(
-            {
-                "url": t["url"],
-                "shard": t["shard"],
-                "pos": pa.array(grank - start_arr + 1),
-            }
-        )
-
-    metas = ray.get([_meta.remote(r) for r in refs])
-    counts = [m[0] for m in metas]
-    offsets = np.concatenate([[0], np.cumsum(counts[:-1])]) if counts else []
-    # global first-rank per shard (min over blocks of block_offset + local)
-    starts: dict[int, int] = {}
-    for (n, firsts), off in zip(metas, offsets):
-        for s, li in firsts.items():
-            g = int(off) + li
-            if s not in starts or g < starts[s]:
-                starts[s] = g
-    return ray.data.from_arrow_refs(
-        [
-            _with_pos.remote(r, int(o), starts)
-            for r, o, n in zip(refs, offsets, counts)
-            if n
-        ]
-    )
+    keyed = pages.map_batches(key, batch_format="pyarrow", zero_copy_batch=True)
+    return by_bucket(keyed, "shard", n_shards, number)
 
 
 def shuffle_shards_sql(
@@ -1492,7 +1422,6 @@ def curate_to_jsonl(
     manifest; record count == curated-set size by construction.
     """
     from virtuoso_quad_log_ray.sources.pages import read_pages, write_jsonl_corpus
-    from virtuoso_quad_log_ray.stages.shuffle import arrow_join, co_bucket, merge_buckets
 
     curated = corpus_curate(sf_dir, cfg, n_shards=n_shards).map_batches(
         lambda b: b.select(["url"]), batch_format="pyarrow", zero_copy_batch=True
@@ -1517,15 +1446,15 @@ def sample_group_k(
     stable across runs, resumes and cluster sizes; rate-based
     ``sample_stratified`` cannot promise an exact k).
 
-    Distributed shape: grouped top-k with a map-side combiner — each block
-    keeps at most k rows per lang (one vectorized sort + run-length cut,
-    no Python loop), so the exchange carries <= k * |langs| rows per block;
-    one tiny per-lang map_groups merge re-sorts and ranks. md5 is per-row
-    Python by oracle-pinned necessity (the shard_plan residual).
+    Distributed shape: one ``shuffle.top_k`` per lang ordered by (hashkey,
+    url) — each block keeps at most k rows per lang, so the exchange
+    carries <= k * |langs| rows per block, and one bucketed pass re-cuts
+    and ranks. md5 is per-row Python by oracle-pinned necessity (the
+    shard_plan residual).
     """
     pages = read_pages(sf_dir, include_html=False)
 
-    def partial(b: pa.Table) -> pa.Table:
+    def hashkey(b: pa.Table) -> pa.Table:
         urls = b["url"]
         if isinstance(urls, pa.ChunkedArray):
             urls = urls.combine_chunks()
@@ -1536,37 +1465,12 @@ def sample_group_k(
                 [hashlib.md5(u.encode()).hexdigest() for u in urls.to_pylist()],
                 type=pa.string(),
             )
-        t = pa.table({"lang": b["lang"], "url": urls, "hk": hk}).sort_by(
-            [("lang", "ascending"), ("hk", "ascending"), ("url", "ascending")]
-        )
-        codes = t["lang"].combine_chunks().dictionary_encode().indices.to_numpy(
-            zero_copy_only=False
-        )
-        n = len(codes)
-        if n == 0:
-            return t
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(change)
-        group_id = np.cumsum(change) - 1
-        local = np.arange(n, dtype=np.int64) - starts[group_id]
-        return t.filter(pa.array(local < k))
+        return pa.table({"lang": b["lang"], "url": urls, "hk": hk})
 
-    def merge(group: pa.Table) -> pa.Table:
-        t = group.sort_by([("hk", "ascending"), ("url", "ascending")]).slice(0, k)
-        return pa.table(
-            {
-                "lang": t["lang"],
-                "url": t["url"],
-                "rn": pa.array(np.arange(1, len(t) + 1, dtype=np.int64)),
-            }
-        )
-
-    return (
-        pages.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .map_groups(merge, batch_format="pyarrow")
+    keyed = pages.map_batches(hashkey, batch_format="pyarrow", zero_copy_batch=True)
+    ranked = top_k(keyed, "lang", [("hk", "ascending"), ("url", "ascending")], k, rank="rn")
+    return ranked.map_batches(
+        lambda b: b.drop_columns(["hk"]), batch_format="pyarrow", zero_copy_batch=True
     )
 
 

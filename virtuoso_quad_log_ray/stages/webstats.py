@@ -11,7 +11,7 @@ graph accounting re-expressed at the crawl layer):
   first-k posting sample: the bounded form of inverted-index construction.
   The cap is the scale contract: a hot term's full posting list is
   corpus-sized (every doc contains "the"), so only k urls per term per
-  block ever cross the exchange — same partial-top-k combiner as
+  block ever cross the exchange — one ``shuffle.top_k``, as in
   relational.top_orders_by_priority.
 
 Both compose the engine's proven distributed shapes: per-block C++ partial
@@ -21,7 +21,6 @@ aggregates, `bucket_aggregate` (vectorized bucketed combine), and one
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -35,6 +34,7 @@ from virtuoso_quad_log_ray.stages.shuffle import (
     bucket_aggregate,
     co_bucket,
     merge_buckets,
+    top_k,
 )
 
 SITE_REGEX = r"^https?://([^/]+/[^/?#]+)"
@@ -168,12 +168,12 @@ def text_postings(
 ) -> ray.data.Dataset:
     """term -> (n_docs, comma-joined lexicographic first-k urls).
 
-    The bounded inverted-index build: per block, at most k urls per term
-    survive (C++ sort + run-length slice — the partial-top-k combiner), so
-    a stop-word's posting sample costs k rows per block, never a
-    corpus-sized list. n_docs is the exact document frequency via the
-    tfidf DF shape. Final merge re-ranks k x |blocks| rows per term and
-    renders one comma-joined string.
+    The bounded inverted-index build: ``shuffle.top_k`` keeps the first k
+    urls per term (per block first, so a stop-word's posting sample costs
+    k rows per block, never a corpus-sized list). n_docs is the exact
+    document frequency via the tfidf DF shape. The ``co_bucket`` join with
+    it renders each term's ranked urls as one comma-joined string inside
+    the bucket task, so the sample costs no exchange of its own.
     """
     pages = read_pages(sf_dir, include_html=False)
 
@@ -219,43 +219,22 @@ def text_postings(
         zero_copy_batch=True,
     )
 
-    def topk_block(b: pa.Table) -> pa.Table:
-        t = b.take(
-            pc.sort_indices(
-                b, sort_keys=[("term", "ascending"), ("url", "ascending")]
-            )
+    ranked = top_k(tf, "term", [("url", "ascending")], k)
+
+    def attach_sample(d: pa.Table | None, r: pa.Table | None) -> pa.Table:
+        if d is None or r is None:
+            return pa.table({})
+        lists = (
+            r.sort_by([("term", "ascending"), ("rank", "ascending")])
+            .group_by("term", use_threads=False)  # keeps the rank order
+            .aggregate([("url", "list")])
         )
-        term = t["term"].to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(np.r_[True, term[1:] != term[:-1]])
-        run_id = np.cumsum(np.r_[True, term[1:] != term[:-1]]) - 1
-        rank = np.arange(len(term)) - starts[run_id]
-        return t.filter(pa.array(rank < k))
-
-    partial = tf.map_batches(topk_block, batch_format="pyarrow", zero_copy_batch=True)
-
-    def final_sample(group: pa.Table) -> pa.Table:
-        urls = group["url"]
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
-        top = pc.take(urls, pc.sort_indices(urls)[: min(k, len(urls))])
-        joined = pc.binary_join(
-            pa.LargeListArray.from_arrays(
-                pa.array([0, len(top)], type=pa.int64()), top.cast(pa.large_string())
-            ),
-            pa.scalar(",", type=pa.large_string()),
+        sample = pa.table(
+            {"term": lists["term"], "sample_urls": pc.binary_join(lists["url_list"], ",")}
         )
-        return pa.table(
-            {"term": group["term"][:1], "sample_urls": joined.cast(pa.string())}
-        )
+        return d.join(sample, "term").select(["term", "n_docs", "sample_urls"])
 
-    sample = partial.groupby("term").map_groups(final_sample, batch_format="pyarrow")
-
-    out = co_bucket(df, sample, "term", merge_buckets(), arrow_join("term"))
-    return out.map_batches(
-        lambda b: b.select(["term", "n_docs", "sample_urls"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    return co_bucket(df, ranked, "term", merge_buckets(), attach_sample)
 
 
 def text_postings_sql(k: int = POSTINGS_SAMPLE_K) -> str:
