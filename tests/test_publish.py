@@ -220,8 +220,9 @@ class TestBundlerScenarios:
         assert (st.def_count, st.run_count) == (3, 0)
 
     def test_publish_metadata_documents(self, tmp_path):
-        """S8: resource-dump.xml lists every zip with md5/length; capability
-        list + source description exist (zipsynchronizer.py:175-232)."""
+        """S8: resource-dump.xml is a Resource Dump Index whose per-chunk
+        pages list every zip with md5/length; capability list + source
+        description exist (zipsynchronizer.py:175-232)."""
         src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
         b = Bundler(src, pub, max_files=2)
         _mk_manifest(src, 5)
@@ -232,30 +233,41 @@ class TestBundlerScenarios:
         parts = {
             os.path.join(".well-known", f"resourcesync-{source_part(d):02d}.xml") for d in ("", "g")
         }
+        dump_pages = {f"resource-dump-{n:05d}.xml" for n in range(3)}  # chunks 0, 1 and 2
         assert set(written) == {
             "resource-dump.xml",
             "capability-list.xml",
             os.path.join("g", "capability-list.xml"),  # one per graph dir (S8)
             os.path.join(".well-known", "resourcesync"),
-        } | parts  # one dump run, no sync run: no ChangeList
+        } | parts | dump_pages  # one dump run, no sync run: no ChangeList
         import xml.etree.ElementTree as ET
 
         ns = {
             "sm": "http://www.sitemaps.org/schemas/sitemap/0.9",
             "rs": "http://www.openarchives.org/rs/terms/",
         }
-        root = ET.parse(os.path.join(pub, "resource-dump.xml")).getroot()
-        locs = [u.find("sm:loc", ns).text for u in root.findall("sm:url", ns)]
+        index = ET.parse(os.path.join(pub, "resource-dump.xml")).getroot()
+        assert index.tag == f"{{{ns['sm']}}}sitemapindex"
+        assert index.find("rs:md", ns).attrib == {"capability": "resourcedump"}  # no at
+        page_locs = [u.find("sm:loc", ns).text for u in index.findall("sm:sitemap", ns)]
+        assert [loc.split("/pub/", 1)[1] for loc in page_locs] == sorted(dump_pages)
+        locs = []
+        for rel in sorted(dump_pages):
+            root = ET.parse(os.path.join(pub, rel)).getroot()
+            assert root.find("rs:ln", ns).attrib == {
+                "rel": "index", "href": "http://example.org/pub/resource-dump.xml"
+            }
+            for u in root.findall("sm:url", ns):
+                locs.append(u.find("sm:loc", ns).text.split("/pub/", 1)[1])
+                md = u.find("rs:md", ns)
+                assert md.get("hash", "").startswith("md5:")
+                assert int(md.get("length")) > 0
+                # per-resource lastmod from the rdf_out_<ts14> names (S8)
+                assert u.find("sm:lastmod", ns).text == "0000-00-00T00:00:00Z"
+            # the chunk's max lastmod rides the page's rs:md (synchronizer.py:168-170)
+            assert root.find("rs:md", ns).get("at") == "0000-00-00T00:00:00Z"
         zips = sorted(n for n in os.listdir(pub) if n.endswith(".zip"))
-        assert len(locs) == len(zips) == 3  # 2 sealed + 1 run zip
-        for u in root.findall("sm:url", ns):
-            md = u.find("rs:md", ns)
-            assert md.get("hash", "").startswith("md5:")
-            assert int(md.get("length")) > 0
-            # per-resource lastmod from the rdf_out_<ts14> names (S8)
-            assert u.find("sm:lastmod", ns).text == "0000-00-00T00:00:00Z"
-        # dump-level max lastmod rides the rs:md (synchronizer.py:168-170)
-        assert root.find("rs:md", ns).get("at") == "0000-00-00T00:00:00Z"
+        assert locs == zips and len(zips) == 3  # 2 sealed + 1 run zip, one page each
         # the source description is an index over parts that register the
         # top-level and the per-graph capability lists
         src_desc = ET.parse(os.path.join(pub, ".well-known", "resourcesync")).getroot()
@@ -528,7 +540,10 @@ class TestWriteIfChangedMetadata:
         h_cap = os.path.join("h", "capability-list.xml")
         well_known = [rel for rel in docs if rel.startswith(".well-known")]
         assert after[g_cap] != before[g_cap]
-        assert after["resource-dump.xml"] != before["resource-dump.xml"]  # new run zip
+        # the rewritten run zip is on the open chunk's page; the index
+        # names the same pages
+        assert after["resource-dump-00000.xml"] != before["resource-dump-00000.xml"]
+        assert after["resource-dump.xml"] == before["resource-dump.xml"]
         # the top-level list names capability documents, not resources
         assert after["capability-list.xml"] == before["capability-list.xml"]
         assert after[h_cap] == before[h_cap]
@@ -854,6 +869,56 @@ class TestValidateBundles:
         shutil.copy(os.path.join(pub, "part_def_00000.zip"), os.path.join(pub, "part_def_00001.zip"))
         with pytest.raises(ValidationError):
             validate_sink(src, pub)
+
+
+class TestResourceDumpPages:
+    """The resource dump is an index over one page per chunk: a round
+    rewrites only the open chunk's page, and a seal rewrites the sealing
+    chunk's page and adds the next chunk's page to the index."""
+
+    @staticmethod
+    def _round(src, pub, k):
+        _commit_runs(src, RUNS[:k])
+        b = Bundler(src, pub, max_files=4)
+        b.publish()
+        docs = b.publish_metadata()
+        return _stat_ids(pub, [d for d in docs if d.startswith("resource-dump")])
+
+    @staticmethod
+    def _index(pub):
+        import xml.etree.ElementTree as ET
+
+        sm = "{http://www.sitemaps.org/schemas/sitemap/0.9}"
+        root = ET.parse(os.path.join(pub, "resource-dump.xml")).getroot()
+        return [u.find(f"{sm}loc").text.rsplit("/", 1)[1] for u in root.iter(f"{sm}sitemap")]
+
+    @staticmethod
+    def _page_zips(pub, page):
+        import xml.etree.ElementTree as ET
+
+        sm = "{http://www.sitemaps.org/schemas/sitemap/0.9}"
+        root = ET.parse(os.path.join(pub, page)).getroot()
+        return [u.find(f"{sm}loc").text.rsplit("/", 1)[1] for u in root.iter(f"{sm}url")]
+
+    def test_rounds_rewrite_only_the_open_page(self, tmp_path):
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        page = "resource-dump-{:05d}.xml".format
+        dump = self._round(src, pub, 1)  # chunk 0 sealed, chunk 1 open
+        assert set(dump) == {"resource-dump.xml", page(0), page(1)}
+        assert self._index(pub) == [page(0), page(1)]
+        sync_a = self._round(src, pub, 2)  # no seal
+        changed = {rel for rel in sync_a if sync_a[rel] != dump.get(rel)}
+        assert changed == {page(1)}  # the sealed page and the index keep inode and mtime
+        runs = [f"part_run_00001_{T0}.zip", f"part_run_00001_{TA}.zip"]
+        assert self._page_zips(pub, page(1)) == runs
+        for k in (3, 4):
+            before = self._round(src, pub, k)
+        sync_d = self._round(src, pub, 5)  # seals chunk 2 and spills into chunk 3
+        changed = {rel for rel in sync_d if sync_d[rel] != before.get(rel)}
+        assert changed == {"resource-dump.xml", page(2), page(3)}
+        assert self._index(pub) == [page(n) for n in range(4)]
+        assert self._page_zips(pub, page(2)) == ["part_def_00002.zip"]
+        assert self._page_zips(pub, page(3)) == [f"part_run_00003_{TD}.zip"]
 
 
 class TestPublishCrashPoints:

@@ -3,6 +3,7 @@ idempotence, manifest counters, and end-to-end patch-file correctness."""
 
 import os
 
+import pyarrow as pa
 import pytest
 
 from tests.conftest import SF_SMALL
@@ -635,6 +636,188 @@ class TestBucketAlignedSync:
         assert new_snap.quad_count == len(new)
 
 
+def _crawl_rounds():
+    """A small crawl and its next two crawls: round 1 edits one page's
+    text and removes every page of one bucket (so that bucket empties and
+    only the ``also`` path reaches it), round 2 re-crawls round 1
+    unchanged."""
+    import pyarrow.compute as pc
+
+    from tests.conftest import to_arrow
+    from virtuoso_quad_log_ray.sources.pages import read_pages
+    from virtuoso_quad_log_ray.stages.shuffle import _bucket_of, default_n_buckets
+
+    pages = to_arrow(read_pages(SF_SMALL, include_html=True)).sort_by("url")
+    bucket = _bucket_of(pages["url"], default_n_buckets())
+    gone = bucket[0]
+    kept = pages.filter(pc.not_equal(bucket, gone))
+    edited = kept["url"][0]
+    html = pc.if_else(
+        pc.equal(kept["url"], edited),
+        pc.binary_join_element_wise(
+            pc.cast(kept["html"], pa.string()), " <article>Berlin edited</article>", ""
+        ),
+        pc.cast(kept["html"], pa.string()),
+    )
+    html = html.cast(kept["html"].type)
+    kept = kept.set_column(kept.schema.get_field_index("html"), "html", html)
+    return pages, kept, kept
+
+
+def _sink_state(sink, snaps):
+    """Everything a run commits, minus its timings: the patch manifest's
+    files, the current snapshot's name and manifest, cursor and epoch."""
+    man = load_manifest(sink)
+    snap = runs.current_snapshot(snaps)
+    smap = load_manifest(os.path.join(snaps, snap))
+    return {
+        "files": [(e.name, e.amount, e.md5, e.length) for e in man.files],
+        "totals": (man.checkpoint, man.run_index, man.quad_count, man.total_quads),
+        "snapshot": snap,
+        "shards": [(e.name, e.amount) for e in smap.files],
+        "snap_meta": (smap.quad_count, smap.n_buckets, smap.hash_fp, smap.epoch),
+        "cursor": ckpt.read_cursor(sink),
+        "epoch": ckpt.read_epoch(sink),
+    }
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestExecutors:
+    """``shuffle.by_bucket`` runs the bucket pass in-process on a
+    ``pa.Table`` and as one Ray Data groupby on a Dataset; both call the
+    same ``sync_bucket``, so they must commit the same bytes."""
+
+    CKPTS = ("20250101000000", "20250101000001")
+
+    def _runs(self, tmp_path, name, wrap):
+        from virtuoso_quad_log_ray.pipelines.kg import pages_to_quads
+
+        sink, snaps = str(tmp_path / name / "sink"), str(tmp_path / name / "snaps")
+        crawls = [pages_to_quads(p, CFG) for p in _crawl_rounds()]
+        runs.run_dump_quads(wrap(crawls[0]), sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+        states, counts = [_sink_state(sink, snaps)], []
+        for quads, checkpoint in zip(crawls[1:], self.CKPTS):
+            m = runs.run_sync_quads(
+                wrap(quads), sink, checkpoint=checkpoint, snapshot_root=snaps, cfg=CFG
+            )
+            states.append(_sink_state(sink, snaps))
+            counts.append(m.quad_count)
+        return states, counts
+
+    def test_table_and_dataset_inputs_commit_identical_runs(self, tmp_path, monkeypatch):
+        import ray.data
+
+        dataset_states, dataset_counts = self._runs(tmp_path, "ray", ray.data.from_arrow)
+
+        def forbidden(*a, **k):
+            raise AssertionError("the in-process executor ran a Ray Data groupby")
+
+        monkeypatch.setattr(ray.data.Dataset, "groupby", forbidden)
+        table_states, table_counts = self._runs(tmp_path, "table", lambda t: t)
+        assert table_counts == dataset_counts
+        assert table_counts[0] > 0 and table_counts[1] == 0  # unchanged re-crawl: 0 records
+        assert table_states == dataset_states
+        from virtuoso_quad_log_ray.rdfpatch import graph_b64
+
+        synced = table_states[1]["files"][len(table_states[0]["files"]) :]
+        ops = set()
+        for name, *_ in synced:
+            with open(os.path.join(tmp_path, "table", "sink", name)) as fh:
+                ops.update(r["op"] for r in parse_patch_text(fh.read())[0])
+        assert ops == {"+", "-"}  # the edit and the emptied bucket
+        pages, kept, _ = _crawl_rounds()
+        removed = set(pages["url"].to_pylist()) - set(kept["url"].to_pylist())
+        dirs = {n.rpartition("/")[0] for n, *_ in synced}  # a graph's base64 may hold "/"
+        assert removed and {graph_b64(u) for u in removed} <= dirs
+
+    def test_crossover_decision(self, tmp_path, monkeypatch):
+        import pyarrow.parquet as pq
+        import ray.data
+
+        from tests.conftest import to_arrow
+        from virtuoso_quad_log_ray.sources.pages import read_pages
+
+        def sized(name, n):
+            path = str(tmp_path / name)
+            with open(path, "wb") as f:
+                f.write(b"\0" * n)
+            return path
+
+        limit = runs.IN_PROCESS_BYTES
+        assert runs.runs_in_process(sized("below", limit - 1))
+        assert not runs.runs_in_process(sized("at", limit))
+        assert not runs.runs_in_process(sized("above", limit + 1))
+        parts = tmp_path / "dir"
+        parts.mkdir()
+        for k in range(2):  # a directory counts the bytes of all its files
+            os.replace(sized(f"p{k}", limit // 2), parts / f"p{k}")
+        assert not runs.runs_in_process(str(parts))
+        os.remove(parts / "p1")
+        assert runs.runs_in_process(str(parts))
+        assert not runs.runs_in_process("s3://bucket/pages")
+
+        # a small pages table runs its dump with no Ray Data execution
+        path = str(tmp_path / "pages.parquet")
+        pq.write_table(to_arrow(read_pages(SF_SMALL, include_html=True)), path)
+        assert runs.runs_in_process(path)
+
+        def forbidden(*a, **k):
+            raise AssertionError("a small run started Ray Data")
+
+        monkeypatch.setattr(ray.data, "read_parquet", forbidden)
+        monkeypatch.setattr(ray.data.Dataset, "groupby", forbidden)
+        sink, snaps = str(tmp_path / "sink"), str(tmp_path / "snaps")
+        m = runs.run_dump_pages(path, sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+        assert m.quad_count > 0
+
+    def test_crash_inside_the_bucket_loop_leaves_the_prior_state(self, tmp_path, monkeypatch):
+        """A sync that raises at bucket k of the in-process loop makes
+        nothing visible; its retry publishes the bytes a sync that never
+        crashed publishes."""
+        from virtuoso_quad_log_ray.pipelines import publish
+        from virtuoso_quad_log_ray.pipelines.kg import pages_to_quads
+
+        crawls = [pages_to_quads(p, CFG) for p in _crawl_rounds()[:2]]
+        sides = {}
+        for name in ("clean", "crashed"):
+            sink, snaps = str(tmp_path / name / "sink"), str(tmp_path / name / "snaps")
+            runs.run_dump_quads(crawls[0], sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+            sides[name] = sink, snaps
+        sink, snaps = sides["crashed"]
+        before = _sink_state(sink, snaps)
+        calls = {"n": 0}
+        real = publish.write_patch_files
+
+        def crashing(*a, **k):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise RuntimeError("simulated crash at bucket 3")
+            return real(*a, **k)
+
+        monkeypatch.setattr(publish, "write_patch_files", crashing)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            runs.run_sync_quads(
+                crawls[1], sink, checkpoint=self.CKPTS[0], snapshot_root=snaps, cfg=CFG
+            )
+        monkeypatch.undo()
+        assert _sink_state(sink, snaps) == before  # cursor, epoch, SNAPSHOT and manifest
+        assert runs.current_snapshot(snaps) == "at-" + TS14_ZERO
+
+        published = {}
+        for name, (sink, snaps) in sides.items():
+            runs.run_sync_quads(
+                crawls[1], sink, checkpoint=self.CKPTS[0], snapshot_root=snaps, cfg=CFG
+            )
+            files = {}
+            for e in load_manifest(sink).files:
+                if self.CKPTS[0] in e.name:
+                    with open(os.path.join(sink, e.name), "rb") as f:
+                        files[e.name] = (e.md5, f.read())
+            published[name] = files
+        assert published["crashed"] == published["clean"] and published["clean"]
+        assert _sink_state(*sides["crashed"]) == _sink_state(*sides["clean"])
+
+
 ONE_CPU_SCRIPT = """
 import os, sys
 import pyarrow.compute as pc
@@ -657,7 +840,15 @@ runs.run_dump_pages(path, sink, epoch="E1", snapshot_root=snaps)
 pq.write_table(pages.filter(pc.not_equal(pages["url"], pages["url"][0])), path)
 m1 = runs.run_sync_pages(path, sink, checkpoint="20250101000000", snapshot_root=snaps)
 m2 = runs.run_sync_pages(path, sink, checkpoint="20250101000001", snapshot_root=snaps)
-print("RESULT", m1.quad_count, m2.quad_count, flush=True)
+# the same dump and first sync on Dataset inputs: the Ray executor
+from virtuoso_quad_log_ray.pipelines.kg import quads_from_pages
+sink, snaps = os.path.join(work, "ray-sink"), os.path.join(work, "ray-snaps")
+runs.run_dump_quads(quads_from_pages(ray.data.from_arrow(pages)), sink, epoch="E1",
+                    snapshot_root=snaps)
+kept = pages.filter(pc.not_equal(pages["url"], pages["url"][0]))
+m3 = runs.run_sync_quads(quads_from_pages(ray.data.from_arrow(kept)), sink,
+                         checkpoint="20250101000000", snapshot_root=snaps)
+print("RESULT", m1.quad_count, m2.quad_count, m3.quad_count, flush=True)
 ray.shutdown()
 """
 
@@ -712,10 +903,13 @@ def test_snapshot_runs_finish_at_one_cpu(tmp_path):
     """A snapshot-backed dump + two syncs must finish on a 1-CPU Ray
     cluster. A shuffle join there needs two 0.5-CPU aggregator actors that
     hold the only CPU, so the join-based sync hung forever; the bucket
-    pass starts no aggregators."""
+    pass starts no aggregators. The small pages runs take the in-process
+    executor, so the script repeats the dump and first sync on Dataset
+    inputs to drive the Ray executor too; both publish the same delta."""
     out, report = _run_at_one_cpu(ONE_CPU_SCRIPT, tmp_path, "snapshot-backed runs")
     result = [line.split() for line in out.splitlines() if line.startswith("RESULT")]
     assert result and int(result[0][1]) > 0 and int(result[0][2]) == 0, report
+    assert int(result[0][3]) == int(result[0][1]), report
 
 
 ONE_CPU_RECOMPUTE_SCRIPT = """

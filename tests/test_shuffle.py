@@ -1,8 +1,8 @@
 """shuffle.by_bucket — the one bucketed shuffle every sink and per-key
-operator runs on — its two-sided form shuffle.co_bucket, which every
-join runs on, and the grouped top-k shuffle.top_k, called directly for a
-string and an integer key; plus the one-execution block reader
-shuffle.blocks_of."""
+operator runs on, on a Dataset and in-process on a Table — its two-sided
+form shuffle.co_bucket, which every join runs on, and the grouped top-k
+shuffle.top_k, called directly for a string and an integer key; plus the
+one-execution block reader shuffle.blocks_of."""
 
 import numpy as np
 import pyarrow as pa
@@ -54,18 +54,22 @@ def test_by_bucket_routes_every_row_once_to_its_bucket(kind):
         )
 
     ds = ray.data.from_arrow([rows.slice(i, 10) for i in range(0, N_ROWS, 10)])
-    calls = by_bucket(ds, "k", N_BUCKETS, fn, schema=rows.schema, also=also).take_all()
+    dataset_calls = by_bucket(ds, "k", N_BUCKETS, fn, schema=rows.schema, also=also).take_all()
+    # the in-process executor: same calls, in ascending bucket order
+    table_calls = by_bucket(rows, "k", N_BUCKETS, fn, schema=rows.schema, also=also).to_pylist()
+    assert [c["called"] for c in table_calls] == sorted(hit | set(also))
 
-    seen = sorted(r for c in calls for r in c["rids"])
-    assert seen == list(range(N_ROWS)), "a row was lost or reached fn twice"
-    for c in calls:
-        assert c["cols"] == "k,rid", "the bucket column reached fn"
-        assert all(int(expected[r]) == c["called"] for r in c["rids"])
-    buckets = [c["called"] for c in calls]
-    assert len(buckets) == len(set(buckets)), "one bucket got two calls"
-    for b in also:
-        assert [c["rids"] for c in calls if c["called"] == b] == [[]], b
-    assert set(buckets) == hit | set(also)
+    for calls in (dataset_calls, table_calls):
+        seen = sorted(r for c in calls for r in c["rids"])
+        assert seen == list(range(N_ROWS)), "a row was lost or reached fn twice"
+        for c in calls:
+            assert c["cols"] == "k,rid", "the bucket column reached fn"
+            assert all(int(expected[r]) == c["called"] for r in c["rids"])
+        buckets = [c["called"] for c in calls]
+        assert len(buckets) == len(set(buckets)), "one bucket got two calls"
+        for b in also:
+            assert [c["rids"] for c in calls if c["called"] == b] == [[]], b
+        assert set(buckets) == hit | set(also)
 
 
 def _blocks(t: pa.Table, size: int):

@@ -27,13 +27,17 @@ import ray.data
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.sources.pages import PAGES_SQL_CTE, read_pages
-from virtuoso_quad_log_ray.stages.extract_text import extract_text
+from virtuoso_quad_log_ray.stages.extract_text import (
+    extract_text,
+    extract_text_batch,
+    resolve_extractor,
+)
 from virtuoso_quad_log_ray.stages.extract_triples import (
     ALIAS_PAIRS,
     ENTITY_NS,
     VOCAB,
     XSD_INTEGER,
-    extract_triples,
+    extract_triples_batch,
 )
 from virtuoso_quad_log_ray.stages.shuffle import (
     arrow_join,
@@ -89,33 +93,41 @@ def sql_with_pages(body: str, extra_cte: str = "") -> str:
 # ---------------------------------------------------------------------------
 
 
+def pages_to_quads(
+    pages: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG, *, from_html: bool = True
+) -> pa.Table:
+    """One pages table (url, warc_ts, [html,] text, lang) -> its (s, p, o,
+    g) quads: text extraction (``from_html``), then ``TripleExtractor``,
+    then the F1 excluded-graphs filter (dump_nquads.sql:44-49, a tiny
+    IN-list evaluated vectorized). :func:`quads_from_pages` maps it over
+    blocks; ``runs`` calls it in-process on a small crawl."""
+    if from_html:
+        pages = extract_text_batch(pages, extractor=resolve_extractor(cfg.extractor))
+    quads = extract_triples_batch(pages)
+    if cfg.excluded_graphs:
+        excluded = pa.array(list(cfg.excluded_graphs), type=pa.string())
+        quads = quads.filter(pc.invert(pc.is_in(quads["g"], value_set=excluded)))
+    return quads
+
+
 def quads_from_pages(
     pages: ray.data.Dataset, cfg: EngineConfig = DEFAULT_CONFIG, *, from_html: bool = True
 ) -> ray.data.Dataset:
     """pages Dataset (url, warc_ts, [html,] text, lang) -> (s, p, o, g)
-    quads — the source-agnostic extraction pipeline. Feed it either the
-    sandbox's synthesized pages (``read_pages``) or a REAL pages Parquet
-    table (``sources.pages.read_pages_parquet``, the input_hint schema).
+    quads — the source-agnostic extraction pipeline, :func:`pages_to_quads`
+    over each block. Feed it either the sandbox's synthesized pages
+    (``read_pages``) or a REAL pages Parquet table
+    (``sources.pages.read_pages_parquet``, the input_hint schema).
 
     ``from_html=True`` runs the real path (html -> text extraction first);
     the html column never survives past the first stage.
     """
-    if from_html:
-        pages = extract_text(
-            pages, batch_size=cfg.pages_batch_size, extractor=cfg.extractor
-        )
-    quads = extract_triples(pages, batch_size=cfg.quads_batch_size)
-    if cfg.excluded_graphs:
-        # F1 excluded-graphs filter (dump_nquads.sql:44-49): tiny IN-list,
-        # evaluated vectorized per batch; at scale this pushes into the read
-        # when graphs map to partition paths.
-        excluded = pa.array(list(cfg.excluded_graphs), type=pa.string())
-        quads = quads.map_batches(
-            lambda b: b.filter(pc.invert(pc.is_in(b["g"], value_set=excluded))),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    return quads
+    return pages.map_batches(
+        lambda b: pages_to_quads(b, cfg, from_html=from_html),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=cfg.pages_batch_size,
+    )
 
 
 def build_quads(

@@ -32,10 +32,11 @@ round's delta, not by the history: full chunks seal into immutable
 ``part_run_N_<ckpt14>.zip`` per run, so no provisional zip is rewritten
 each round; each zip's JSON sidecar is written before the zip becomes
 visible, and a chunk's run zips are removed only after its ``part_def``
-zip exists. The ResourceSync XML docs (resource dump, top-level capability
-list of capability documents, one immutable ChangeList per sync run,
-chunk-aligned ChangeList index pages, per-graph capability lists and a
-source description split into ``SOURCE_PARTS`` parts) are rendered whole
+zip exists. The ResourceSync XML docs (a resource dump index with one
+page per chunk, top-level capability list of capability documents, one
+immutable ChangeList per sync run, chunk-aligned ChangeList index pages,
+per-graph capability lists and a source description split into
+``SOURCE_PARTS`` parts) are rendered whole
 from the sidecars and the source manifest each run, but a doc is written
 only when its bytes differ from the file on disk, so a publish round
 rewrites only what changed.
@@ -519,8 +520,11 @@ class Bundler:
     def _write_zip(self, zip_name: str, file_names: list[str]) -> None:
         """Bundle + embedded manifest + sidecar metadata (resource-dump.xml /
         capability-list.xml analog, zipsynchronizer.py:175-232). The sidecar
-        records per-resource lastmod and the zip's max lastmod (the
-        reference's ResourceList lastmod, synchronizer.py:100-114).
+        holds what the resource dump lists, as compact JSON: the zip's
+        name, md5, length and max lastmod (the reference's ResourceList
+        lastmod, synchronizer.py:100-114). The member list is the zip's
+        own (and its embedded ``manifest.json``); a member's lastmod
+        follows from its name (:func:`_lastmod_of`).
 
         The sidecar is written whole (``write_atomic``) from the staged
         ``.part`` zip BEFORE the zip is renamed into place: ``publish``
@@ -536,17 +540,14 @@ class Bundler:
             z.writestr("manifest.json", json.dumps({"resources": file_names}, indent=1))
         with open(part, "rb") as f:
             zip_bytes = f.read()
-        lastmods = {rel: _lastmod_of(rel) for rel in file_names}
-        known = [v for v in lastmods.values() if v]
+        known = [v for v in map(_lastmod_of, file_names) if v]
         meta = {
             "zip": zip_name,
             "md5": hashlib.md5(zip_bytes).hexdigest(),
             "length": len(zip_bytes),
-            "resources": file_names,
-            "resource_lastmod": lastmods,
             "lastmod": max(known) if known else None,
         }
-        write_atomic(final + ".meta.json", json.dumps(meta, indent=1).encode("utf-8"))
+        write_atomic(final + ".meta.json", json.dumps(meta, separators=(",", ":")).encode("utf-8"))
         os.replace(part, final)
 
     def _zip_contents(self, zip_name: str) -> list[str]:
@@ -559,9 +560,13 @@ class Bundler:
     def publish_metadata(self, base_uri: str = "http://example.org/pub") -> list[str]:
         """Write the ResourceSync documents for the current publish state:
 
-          - ``resource-dump.xml``: one <url> per zip (sealed and run zips)
-            with md5 / length / lastmod from the sidecars, plus the dump's
-            max lastmod on its rs:md (synchronizer.py:100-114,168-170);
+          - ``resource-dump.xml``: the Resource Dump Index, one
+            <sitemap> per page ``resource-dump-<n>.xml``, and page n
+            lists chunk n's zips (its ``part_def`` zip once sealed, else
+            its run zips) with md5 / length / lastmod from the sidecars
+            and the chunk's max lastmod on its rs:md
+            (synchronizer.py:100-114,168-170), so a round rewrites only
+            the open chunk's page and a seal adds one page to the index;
           - ``capability-list.xml``: the capability documents only, the
             resource dump and the ChangeList index pages, as the
             ResourceSync 1.1 spec defines a Capability List;
@@ -616,8 +621,10 @@ class Bundler:
             )
 
         index_pages = {f"changelist-{n:05d}.xml": ckpts for n, ckpts in sorted(pages.items())}
+        dump_pages = self._resource_dump_pages(base)
         docs = [
-            ("resource-dump.xml", self._resource_dump_xml(base)),
+            ("resource-dump.xml", _resource_dump_index_xml(base, list(dump_pages))),
+            *dump_pages.items(),
             ("capability-list.xml", _capability_list_xml(base, list(index_pages))),
         ]
         docs += [(rel, _changelist_index_xml(base, ckpts)) for rel, ckpts in index_pages.items()]
@@ -663,28 +670,41 @@ class Bundler:
             os.replace(tmp, path)
         return [rel for rel, _ in docs]
 
-    def _resource_dump_xml(self, base: str) -> str:
-        """One <url> per zip, from the sidecars."""
+    def _resource_dump_pages(self, base: str) -> dict[str, str]:
+        """Resource dump page name -> its XML: page n lists the zips of
+        chunk n (``part_def_<n>`` or ``part_run_<n>_*``), from the
+        sidecars."""
         import json
 
-        urls = []
-        lastmods: list[str] = []
+        chunks: dict[int, list[str]] = {}
         for zname in self._zips(DEF_ZIP) + self._zips(RUN_ZIP):
-            with open(os.path.join(self.publish_root, zname + ".meta.json")) as f:
-                meta = json.load(f)
-            lastmod = meta.get("lastmod")
-            if lastmod:
-                lastmods.append(lastmod)
-            lm_el = f"\n    <lastmod>{escape(lastmod)}</lastmod>" if lastmod else ""
-            urls.append(
-                f"<url>\n"
-                f"    <loc>{base}/{escape(zname)}</loc>{lm_el}\n"
-                f"    <rs:md at=\"true\" hash=\"md5:{meta['md5']}\" length=\"{meta['length']}\""
-                f" type=\"application/zip\"/>\n"
-                f"  </url>"
-            )
-        dump_at = f' at="{escape(max(lastmods))}"' if lastmods else ""
-        return _xml_doc("urlset", [f'<rs:md capability="resourcedump"{dump_at}/>'] + urls)
+            prefix = DEF_ZIP if zname.startswith(DEF_ZIP) else RUN_ZIP
+            chunks.setdefault(int(zname[len(prefix) : len(prefix) + 5]), []).append(zname)
+        pages = {}
+        for n, znames in sorted(chunks.items()):
+            urls = []
+            lastmods: list[str] = []
+            for zname in znames:
+                with open(os.path.join(self.publish_root, zname + ".meta.json")) as f:
+                    meta = json.load(f)
+                lastmod = meta.get("lastmod")
+                if lastmod:
+                    lastmods.append(lastmod)
+                lm_el = f"\n    <lastmod>{escape(lastmod)}</lastmod>" if lastmod else ""
+                urls.append(
+                    f"<url>\n"
+                    f"    <loc>{base}/{escape(zname)}</loc>{lm_el}\n"
+                    f"    <rs:md at=\"true\" hash=\"md5:{meta['md5']}\" length=\"{meta['length']}\""
+                    f" type=\"application/zip\"/>\n"
+                    f"  </url>"
+                )
+            at = f' at="{escape(max(lastmods))}"' if lastmods else ""
+            head = [
+                f'<rs:ln rel="index" href="{base}/resource-dump.xml"/>',
+                f'<rs:md capability="resourcedump"{at}/>',
+            ]
+            pages[f"resource-dump-{n:05d}.xml"] = _xml_doc("urlset", head + urls)
+        return pages
 
 
 def _xml_doc(tag: str, lines: list[str]) -> str:
@@ -715,6 +735,16 @@ def _graph_list_xml(base: str, entries: list[FileEntry]) -> str:
             f'<url><loc>{base}/resource-dump.xml</loc><rs:md capability="resourcedump"/></url>',
         ]
         + [_resource_url(base, e) for e in sorted(entries, key=lambda e: e.name)],
+    )
+
+
+def _resource_dump_index_xml(base: str, pages: list[str]) -> str:
+    """``resource-dump.xml``: the Resource Dump Index over the per-chunk
+    pages."""
+    return _xml_doc(
+        "sitemapindex",
+        ['<rs:md capability="resourcedump"/>']
+        + [f"<sitemap><loc>{base}/{p}</loc></sitemap>" for p in pages],
     )
 
 

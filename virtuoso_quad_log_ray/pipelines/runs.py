@@ -5,8 +5,9 @@ generate-rdfpatch.sh:407-427) runs one initial full dump, gated by a dump
 marker (:277-297), then repeated incremental syncs, each gated by a
 checkpoint cursor (:348-351). Here a dump is the first sync: the diff of
 the empty state against the first crawl. :func:`_run` is the one body of
-both, and each call is one bounded Dataset execution (the ``ray job
-submit`` unit). A dump is the call that passes an ``epoch``: every quad
+both, and each call is one bounded run: one Dataset execution (the ``ray
+job submit`` unit), or on a small input one pass in the calling process
+(see below). A dump is the call that passes an ``epoch``: every quad
 is a '+' record at checkpoint 00000000000000 (generate-rdfpatch.sh:
 210-217) and the epoch is signed (T2). A sync publishes the +/- changelog
 of the prior state against the new one (J1) at a later checkpoint.
@@ -21,14 +22,20 @@ publishes the full delta again under the same file names.
 
 Bucket-aligned snapshot runs: with a ``snapshot_root`` (which
 ``run_sync_quads``/``run_sync_pages`` require) a dump or sync is ONE
-``groupby(bucket).map_groups`` pass, bucket = ``hash(g) % n_buckets`` —
+bucket pass (``shuffle.by_bucket``), bucket = ``hash(g) % n_buckets`` —
 the partitioning the stored snapshot and the patch sink already share.
-Each bucket task sorts and writes its shard of the new snapshot, reads the
-prior snapshot's shard of the same bucket straight from disk, takes both
-anti-join directions locally (``changelog.diff_bucket``) and writes that
-bucket's +/- patch files (``publish.write_patch_files``). Only file
-metadata returns to the calling process, which commits. No join
-aggregators, no second read of either snapshot, no second shuffle.
+One per-bucket function, ``sync_bucket``, sorts and writes the bucket's
+shard of the new snapshot, reads the prior snapshot's shard of the same
+bucket straight from disk, takes both anti-join directions locally
+(``changelog.diff_bucket``) and writes that bucket's +/- patch files
+(``publish.write_patch_files``). Only file metadata comes back to the
+calling process, which commits. No join aggregators, no second read of
+either snapshot, no second shuffle. Two executors run it: a Dataset of
+quads goes through one ``groupby(bucket).map_groups``, and a ``pa.Table``
+is bucketed and looped over in the calling process. The pages runs pick
+the table when the pages Parquet is smaller than
+:data:`IN_PROCESS_BYTES`, the size below which Ray's fixed cost per run
+outweighs the work; both executors publish the same bytes.
 Without a ``snapshot_root`` a dump writes ``_with_op(quads, "+")`` and a
 sync writes ``changelog.diff_quads(prev, new)`` (the same per-bucket
 ``diff_bucket`` over one shuffle of both states) through
@@ -152,12 +159,12 @@ def write_snapshot(root: str, quads: ray.data.Dataset, *, checkpoint: str, epoch
 # ---------------------------------------------------------------------------
 # Bucket-aligned snapshot pass (see the module docstring): write the new
 # snapshot, diff it against the prior one and write the patch files in ONE
-# groupby(bucket) shuffle. Shared by every snapshot-backed dump and sync.
+# bucket pass. Shared by every snapshot-backed dump and sync.
 # ---------------------------------------------------------------------------
 
 
 def _bucket_pass(
-    new_quads: ray.data.Dataset,
+    new_quads: ray.data.Dataset | pa.Table,
     snap_dir: str,
     out_root: str,
     *,
@@ -167,10 +174,12 @@ def _bucket_pass(
     t_run0: float,
     prev: tuple[str, RunManifest] | None = None,
 ) -> list[FileEntry]:
-    """One shuffle: new quads keyed by ``hash(g) % n_buckets`` -> per bucket
-    the sorted snapshot shard under ``snap_dir`` and the patch files under
-    ``out_root``. Commits the new snapshot's manifest and returns the patch
-    entries for the caller's commit. ``prev`` None = dump (every quad is
+    """One bucket pass: new quads keyed by ``hash(g) % n_buckets`` -> per
+    bucket the sorted snapshot shard under ``snap_dir`` and the patch files
+    under ``out_root``. A ``pa.Table`` runs in the calling process, a
+    Dataset as one Ray Data groupby (``shuffle.by_bucket``). Commits the
+    new snapshot's manifest and returns the patch entries for the
+    caller's commit. ``prev`` None = dump (every quad is
     '+'); otherwise it is the prior snapshot's ``(dir, manifest)``, whose
     shards MUST be keyed by the same hash — the caller re-keys them first
     (:func:`_aligned_snapshot`) — and whose ``n_buckets`` the new one keeps.
@@ -216,9 +225,8 @@ def _bucket_pass(
         flags = pa.array([True] * len(shards) + [False] * len(patches))
         return entries_table(shards + patches).append_column("shard", flags)
 
-    meta = by_bucket(
-        new_quads, "g", n_buckets, sync_bucket, schema=QUADS_SCHEMA, also=prev_set
-    ).take_all()
+    meta = by_bucket(new_quads, "g", n_buckets, sync_bucket, schema=QUADS_SCHEMA, also=prev_set)
+    meta = meta.to_pylist() if isinstance(meta, pa.Table) else meta.take_all()
     shards = [entry_of(r) for r in meta if r["shard"]]
     commit_materialized(
         snap_dir, shards, kind="materialize", epoch=epoch, n_buckets=n_buckets, t_run0=t_run0
@@ -284,7 +292,7 @@ def _repair(out_root: str, snapshot_root: str | None) -> tuple[RunManifest | Non
 
 
 def _run(
-    new_quads: ray.data.Dataset,
+    new_quads: ray.data.Dataset | pa.Table,
     out_root: str,
     *,
     checkpoint: str,
@@ -332,6 +340,8 @@ def _run(
     )
     t_run0, started = time.perf_counter(), wall_clock()
     if snapshot_root is None:
+        if isinstance(new_quads, pa.Table):
+            new_quads = ray.data.from_arrow(new_quads)
         log = _with_op(new_quads, "+") if dump else diff_quads(prev_quads, new_quads, cfg)
         manifest = write_rdfpatch(log, out_root, cfg=cfg, **run)
     else:
@@ -453,7 +463,7 @@ def run_sync(
 
 
 def run_dump_quads(
-    quad_set: ray.data.Dataset,
+    quad_set: ray.data.Dataset | pa.Table,
     out_root: str,
     *,
     epoch: str,
@@ -475,7 +485,7 @@ def run_dump_quads(
 
 
 def run_sync_quads(
-    new_quads: ray.data.Dataset,
+    new_quads: ray.data.Dataset | pa.Table,
     out_root: str,
     *,
     checkpoint: str,
@@ -497,10 +507,40 @@ def run_sync_quads(
     )
 
 
-def _pages_quads(pages_path: str, cfg: EngineConfig) -> ray.data.Dataset:
-    from virtuoso_quad_log_ray.pipelines.kg import quads_from_pages
-    from virtuoso_quad_log_ray.sources.pages import read_pages_parquet
+# Pages Parquet bytes below which a run reads, extracts and runs its bucket
+# pass in the calling process: the in-process rate times the Ray path's
+# fixed cost per run, so below it no core count lets the Ray path win.
+# Measured on a 1-vCPU host with Ray at num_cpus=4: a 1000-page sync
+# (381,421 B) takes 0.291 s in-process (1.31 MB/s), and a 10-page sync
+# takes 0.614 s on the Ray path; 1.31 MB/s x 0.614 s = 0.80 MB.
+IN_PROCESS_BYTES = 800_000
 
+
+def runs_in_process(pages_path: str) -> bool:
+    """Whether a run over ``pages_path`` takes the in-process executor:
+    a local Parquet file, or directory of files, smaller than
+    :data:`IN_PROCESS_BYTES` in all."""
+    if os.path.isfile(pages_path):
+        nbytes = os.path.getsize(pages_path)
+    elif os.path.isdir(pages_path):
+        walk = os.walk(pages_path)
+        nbytes = sum(os.path.getsize(os.path.join(d, n)) for d, _, names in walk for n in names)
+    else:
+        return False
+    return nbytes < IN_PROCESS_BYTES
+
+
+def _pages_quads(pages_path: str, cfg: EngineConfig) -> ray.data.Dataset | pa.Table:
+    """The quads of a pages Parquet input: ``kg.pages_to_quads`` on one
+    pyarrow read below the crossover, else mapped over the blocks of a
+    Ray Data read. Either feeds the same bucket pass."""
+    from virtuoso_quad_log_ray.pipelines.kg import pages_to_quads, quads_from_pages
+    from virtuoso_quad_log_ray.sources.pages import PAGES_PARQUET_COLUMNS, read_pages_parquet
+
+    if runs_in_process(pages_path):
+        import pyarrow.parquet as pq
+
+        return pages_to_quads(pq.read_table(pages_path, columns=PAGES_PARQUET_COLUMNS), cfg)
     return quads_from_pages(read_pages_parquet(pages_path), cfg)
 
 

@@ -112,6 +112,9 @@ def _synth_batch(batch: pa.Table) -> pa.Table:
     return out.cast(PAGES_SCHEMA)
 
 
+PAGES_PARQUET_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]  # input_hint
+
+
 def read_pages_parquet(path: str, *, include_html: bool = True) -> ray.data.Dataset:
     """Read a REAL pages Parquet table/directory with the authoritative
     input schema ``(url, warc_ts, html, text, lang)`` (BASELINE.json
@@ -124,9 +127,7 @@ def read_pages_parquet(path: str, *, include_html: bool = True) -> ray.data.Data
     """
     from virtuoso_quad_log_ray.stages.shuffle import cluster_cpus
 
-    cols = ["url", "warc_ts", "text", "lang"]
-    if include_html:
-        cols.insert(2, "html")
+    cols = [c for c in PAGES_PARQUET_COLUMNS if include_html or c != "html"]
     return ray.data.read_parquet(
         path,
         columns=cols,

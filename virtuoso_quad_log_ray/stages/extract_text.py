@@ -84,6 +84,14 @@ EXTRACTORS: dict[str, Callable[[], Extractor]] = {
 }
 
 
+def resolve_extractor(extractor: Extractor | str | None) -> Extractor:
+    """An :class:`Extractor` instance, a registry name from
+    ``EXTRACTORS``, or None for the frozen default rule -> the instance."""
+    if isinstance(extractor, str):
+        return EXTRACTORS[extractor]()
+    return extractor if extractor is not None else DEFAULT_EXTRACTOR
+
+
 def extract_text_batch(
     batch: pa.Table, *, extractor: Extractor = DEFAULT_EXTRACTOR
 ) -> pa.Table:
@@ -111,9 +119,7 @@ def extract_text(
 
     ``extractor``: an :class:`Extractor` instance, a registry name from
     ``EXTRACTORS``, or None for the frozen default rule."""
-    if isinstance(extractor, str):
-        extractor = EXTRACTORS[extractor]()
-    ex = extractor if extractor is not None else DEFAULT_EXTRACTOR
+    ex = resolve_extractor(extractor)
 
     def fn(batch: pa.Table) -> pa.Table:
         return extract_text_batch(batch, extractor=ex)

@@ -138,9 +138,10 @@ class TripleExtractor:
 _TASK_EXTRACTOR: "TripleExtractor | None" = None
 
 
-def _extract_fn(batch: pa.Table) -> pa.Table:
-    """The task transform: extractor built once per worker process (module
-    singleton), then fused into the upstream task chain."""
+def extract_triples_batch(batch: pa.Table) -> pa.Table:
+    """One (url, text, lang) batch -> its quads, with the extractor built
+    once per process (module singleton): the task transform, fused into
+    the upstream task chain, and the in-process form."""
     global _TASK_EXTRACTOR
     if _TASK_EXTRACTOR is None:
         _TASK_EXTRACTOR = TripleExtractor()
@@ -161,7 +162,7 @@ def extract_triples(
     actor stage always materializes its input blocks through plasma.
     """
     return pages_text.map_batches(
-        _extract_fn,
+        extract_triples_batch,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,

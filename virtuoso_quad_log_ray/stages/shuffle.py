@@ -1,12 +1,15 @@
 """The engine's one owner of bucketing and shuffle sizing.
 
 Bucketed shuffle. :func:`by_bucket` keys every row by ``bucket(row[key])
-% n``, runs ONE ``groupby(bucket).map_groups`` and calls ``fn(bucket,
-rows)`` once per bucket, so all of a bucket's keys are handled in one
-vectorized call (the graph-splitter's repartition by graph,
-split-graphs.sh:73-141, generalized to bounded fan-out). The bucket comes
-from the key column's type (:func:`_bucket_of`): a string key is hashed
-with ``numerics.hash128``, an integer key is its own hash,
+% n`` and calls ``fn(bucket, rows)`` once per bucket, so all of a
+bucket's keys are handled in one vectorized call (the graph-splitter's
+repartition by graph, split-graphs.sh:73-141, generalized to bounded
+fan-out). It has two executors for the same keying and the same ``fn``:
+a Dataset runs ONE ``groupby(bucket).map_groups``, and a ``pa.Table`` is
+sorted by bucket and sliced in the calling process, for inputs too small
+to pay Ray's fixed cost per execution (``runs.IN_PROCESS_BYTES``). The
+bucket comes from the key column's type (:func:`_bucket_of`): a string
+key is hashed with ``numerics.hash128``, an integer key is its own hash,
 ``uint64(key) % n``. Every keyed exchange in the engine runs through it:
 the file sinks (snapshot, patch, JSONL, WARC), ``kg.chunk_plan``,
 :func:`bucket_aggregate` and its users, :func:`top_k`, the per-key merges
@@ -128,29 +131,43 @@ def _bucket_of(key: pa.ChunkedArray | pa.Array, n_buckets: int) -> pa.Array:
 
 
 def by_bucket(
-    ds: ray.data.Dataset,
+    ds: ray.data.Dataset | pa.Table,
     key: str,
     n_buckets: int,
     fn,
     *,
     schema: pa.Schema | None = None,
     also=(),
-) -> ray.data.Dataset:
+) -> ray.data.Dataset | pa.Table:
     """The one bucketed shuffle: rows keyed by :func:`_bucket_of`
-    ``(row[key], n_buckets)``, ONE ``groupby(bucket).map_groups``, and
-    ``fn(bucket, rows)`` per bucket (``rows`` without the bucket column)
-    returning an Arrow table. Lazy: the caller executes it.
+    ``(row[key], n_buckets)`` and ``fn(bucket, rows)`` once per bucket
+    (``rows`` without the bucket column) returning an Arrow table.
+
+    Two executors run the same keying and the same ``fn``. A
+    ``ray.data.Dataset`` runs ONE ``groupby(bucket).map_groups`` and the
+    result is lazy: the caller executes it. A ``pa.Table`` is bucketed in
+    the calling process, one stable sort by bucket and a slice per
+    bucket, in ascending bucket order, and the outputs come back
+    concatenated as one ``pa.Table``; no Ray task runs.
 
     ``schema`` projects and casts rows before keying. ``also`` names
-    bucket ids that must get a task even when no row hashes there (a sync
-    must emit the '-' records of a bucket that emptied): one null-key
-    marker row of ``schema`` per id is unioned in before the groupby and
-    dropped before ``fn`` sees the rows."""
+    bucket ids that must get a call even when no row hashes there (a sync
+    must emit the '-' records of a bucket that emptied): on a Dataset one
+    null-key marker row of ``schema`` per id is unioned in before the
+    groupby and dropped before ``fn`` sees the rows; on a Table those
+    buckets get a zero-row slice."""
 
     def keyed(b: pa.Table) -> pa.Table:
         if schema is not None:
             b = b.select(schema.names).cast(schema)
         return b.append_column("bucket", _bucket_of(b[key], n_buckets))
+
+    if isinstance(ds, pa.Table):
+        rows, wanted = keyed(ds), set(also)
+        slices = _split(rows.drop_columns(["bucket"]), rows["bucket"].to_numpy(), n_buckets)
+        outs = [fn(b, t) for b, t in enumerate(slices) if len(t) or b in wanted]
+        outs = [t for t in outs if t.num_columns]
+        return pa.concat_tables(outs, promote_options="permissive") if outs else pa.table({})
 
     def run(group: pa.Table) -> pa.Table:
         bucket = int(group["bucket"][0].as_py())
@@ -168,6 +185,15 @@ def by_bucket(
         )
         ds = ds.union(ray.data.from_arrow(markers))
     return ds.groupby("bucket").map_groups(run, batch_format="pyarrow")
+
+
+def _split(rows: pa.Table, bucket: np.ndarray, n_buckets: int) -> list[pa.Table]:
+    """``rows`` cut into one slice per bucket id ``0 .. n_buckets - 1``
+    (zero-row slices included) by a stable sort on ``bucket``."""
+    rows = rows.take(pa.array(np.argsort(bucket, kind="stable")))
+    counts = np.bincount(bucket, minlength=n_buckets)
+    starts = np.cumsum(counts) - counts
+    return [rows.slice(a, n) for a, n in zip(starts.tolist(), counts.tolist())]
 
 
 def _ipc(t: pa.Table) -> bytes:
@@ -198,19 +224,12 @@ def co_bucket(
 
     def cut(side: int):
         def run(b: pa.Table) -> pa.Table:
-            bucket = _bucket_of(b[key], n_buckets).to_numpy()
-            rows = b.take(pa.array(np.argsort(bucket, kind="stable")))
-            counts = np.bincount(bucket, minlength=n_buckets)
-            ends = np.cumsum(counts)
-            starts = ends - counts
+            slices = _split(b, _bucket_of(b[key], n_buckets).to_numpy(), n_buckets)
             return pa.table(
                 {
                     "part": pa.array(np.arange(n_buckets, dtype=np.int64)),
                     "side": pa.array(np.full(n_buckets, side, dtype=np.int8)),
-                    "payload": pa.array(
-                        [_ipc(rows.slice(a, z - a)) for a, z in zip(starts, ends)],
-                        type=pa.large_binary(),
-                    ),
+                    "payload": pa.array([_ipc(t) for t in slices], type=pa.large_binary()),
                 }
             )
 
