@@ -48,7 +48,10 @@ def test_cli_lifecycle(tmp_path, capsys):
 
 @pytest.mark.usefixtures("ray_session")
 def test_cli_run_loop(tmp_path, capsys):
-    """T8: the `run` subcommand drives >= 2 bounded iterations."""
+    """T8: the `run` subcommand drives >= 2 bounded iterations, and its
+    sync leaves the sink-owned snapshot pointer on its own checkpoint."""
+    from virtuoso_quad_log_ray.state.validate import validate_sink
+
     sink = str(tmp_path / "sink")
     assert (
         main(["run", "--sf", SF_SMALL, "--out", sink, "--interval", "0", "--max-runs", "2"])
@@ -56,6 +59,11 @@ def test_cli_run_loop(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "dump[0]:" in out and "sync[1]:" in out
+    synced = [line for line in out.splitlines() if line.startswith("sync[1]:")]
+    checkpoint = synced[0].rpartition("@ ")[2]
+    with open(os.path.join(sink, "snapshots", "SNAPSHOT")) as f:
+        assert f.read().strip() == f"at-{checkpoint}"
+    validate_sink(sink)
 
 
 def test_cli_export_warc(tmp_path, capsys):

@@ -601,6 +601,42 @@ class TestWriteIfChangedMetadata:
         for dirpath, _, names in os.walk(pub):
             assert not [n for n in names if n.endswith(".part")], dirpath
 
+    def test_graph_dir_holding_a_slash_gets_its_own_list(self, tmp_path):
+        """A graph whose base64 holds "/" is published two dirs deep. Its
+        capability list sits in that full dir and lists only its files;
+        it is neither filed under the first path component nor mixed into
+        the list of the graph whose dir shares that prefix."""
+        import re
+
+        from virtuoso_quad_log_ray.pipelines.publish import source_part
+
+        base = "http://example.org/pub"
+        mirror = graph_b64("https://example.org/src10/250?mirror=1")
+        plain = graph_b64("https://example.org/src10/250")
+        assert "/" in mirror and mirror.partition("/")[0] + "=" == plain
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        m = _mk_dirs_manifest(src, {mirror: 2, plain: 1})
+        b = Bundler(src, pub, max_files=100)
+        b.publish()
+        docs = b.publish_metadata(base)
+
+        def listed(rel):
+            with open(os.path.join(pub, rel)) as f:
+                return set(re.findall(r"<loc>([^<]*)</loc>", f.read()))
+
+        dump = {f"{base}/resource-dump.xml"}
+        for d in (mirror, plain):
+            rel = f"{d}/capability-list.xml"
+            assert rel in docs
+            own = {f"{base}/{e.name}" for e in m.files if e.name.rpartition("/")[0] == d}
+            assert len(own) == (2 if d == mirror else 1)
+            assert listed(rel) == own | dump, d
+            part = os.path.join(".well-known", f"resourcesync-{source_part(d):02d}.xml")
+            assert f"{base}/{rel}" in listed(part)
+        misfiled = f"{mirror.partition('/')[0]}/capability-list.xml"
+        assert misfiled not in docs
+        assert not os.path.exists(os.path.join(pub, misfiled))
+
 
 class TestZipSidecarCrashWindow:
     """A zip becomes visible only with its complete sidecar. ``publish``

@@ -13,8 +13,37 @@ from virtuoso_quad_log_ray.pipelines.publish import Bundler
 from virtuoso_quad_log_ray.rdfpatch import TS14_ZERO, parse_patch_text
 from virtuoso_quad_log_ray.state import checkpoint as ckpt
 from virtuoso_quad_log_ray.state.manifest import load_manifest
+from virtuoso_quad_log_ray.state.validate import validate_sink
 
 CFG = EngineConfig(max_quads_per_file=5000)
+
+
+def _reference_sink(root, checkpoint):
+    """The sink a dump of v1 and a sync to v2 at ``checkpoint`` must
+    publish, written without the runs: ``write_rdfpatch`` of every v1 quad
+    as '+' at TS14_ZERO, then of ``diff_quads(v1, v2)`` at ``checkpoint``,
+    each with the run fields ``run_dump``/``run_sync`` commit. Returns the
+    dump's and the sync's manifests."""
+    from virtuoso_quad_log_ray.pipelines.changelog import diff_quads, quads_version, with_op
+    from virtuoso_quad_log_ray.pipelines.publish import write_rdfpatch
+
+    v1, v2 = quads_version(SF_SMALL, 1, CFG), quads_version(SF_SMALL, 2, CFG)
+    dump = write_rdfpatch(
+        v1.map_batches(lambda b: with_op(b, "+"), batch_format="pyarrow"),
+        root, epoch="E1", checkpoint=TS14_ZERO, kind="dump", cfg=CFG,
+        run_index=0, last_source=f"{SF_SMALL}#v1",
+    )
+    sync = write_rdfpatch(
+        diff_quads(v1, v2), root, epoch="E1", checkpoint=checkpoint, kind="sync", cfg=CFG,
+        run_index=1, last_source=f"{SF_SMALL}#v2",
+    )
+    return dump, sync
+
+
+def _published_at(sink, checkpoint):
+    """(name, md5) of the committed patch files of the run at ``checkpoint``."""
+    files = load_manifest(sink).files
+    return {(f.name, f.md5) for f in files if f"rdf_out_{checkpoint}-" in f.name}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -56,6 +85,9 @@ class TestRuns:
             assert meta["at checkpoint"] == "20240101010101"
             ops.update(q["op"] for q in quads)
         assert ops <= {"+", "-"} and ops
+        # the sink owns the snapshot the sync diffed against and committed
+        assert runs.current_snapshot(os.path.join(root, "snapshots")) == "at-20240101010101"
+        validate_sink(root)
 
         # --- publish over the committed manifest ---
         pub = str(tmp_path / "pub")
@@ -63,6 +95,7 @@ class TestRuns:
         assert st.def_count + st.run_count >= 1
         man = load_manifest(root)
         assert man.run_index == 1
+        validate_sink(root, pub)
 
     def test_run_loop_dump_then_syncs(self, tmp_path):
         """T8 poll loop (entrypoint.sh:14-17): dump first, then interval
@@ -98,16 +131,15 @@ class TestRuns:
     def test_snapshot_checkpoint_sync(self, tmp_path):
         """Snapshot-backed sync: run_dump materializes the quad set, run_sync
         diffs against the STORED snapshot (no recompute of the prior crawl)
-        and produces the exact same changelog as the recompute path; the
+        and publishes the exact changelog of the reference sink; the
         SNAPSHOT pointer advances; manifests carry throughput metrics."""
-        plain, snap = str(tmp_path / "plain"), str(tmp_path / "snap")
+        ref, snap = str(tmp_path / "ref"), str(tmp_path / "snap")
         snaps = str(tmp_path / "snapshots")
-
-        m_plain = runs.run_dump(SF_SMALL, plain, epoch="E1", cfg=CFG)
-        runs.run_sync(SF_SMALL, plain, checkpoint="20240101010101", cfg=CFG)
+        ref_dump, _ = _reference_sink(ref, "20240101010101")
 
         m_snap = runs.run_dump(SF_SMALL, snap, epoch="E1", cfg=CFG, snapshot_root=snaps)
-        assert m_snap.quad_count == m_plain.quad_count
+        assert m_snap.quad_count == ref_dump.quad_count
+        assert _published_at(snap, TS14_ZERO) == _published_at(ref, TS14_ZERO)
         with open(os.path.join(snaps, "SNAPSHOT")) as f:
             assert f.read().strip() == "at-" + TS14_ZERO
         s1 = runs.run_sync(
@@ -115,14 +147,9 @@ class TestRuns:
         )
         with open(os.path.join(snaps, "SNAPSHOT")) as f:
             assert f.read().strip() == "at-20240101010101"
-        # identical changelog vs the recompute path (same files, same md5s)
-        p_files = {
-            (f.name, f.md5) for f in load_manifest(plain).files if "20240101010101" in f.name
-        }
-        s_files = {
-            (f.name, f.md5) for f in load_manifest(snap).files if "20240101010101" in f.name
-        }
-        assert p_files == s_files and p_files
+        # identical changelog vs the reference (same files, same md5s)
+        want = _published_at(ref, "20240101010101")
+        assert _published_at(snap, "20240101010101") == want and want
         assert s1.elapsed_s > 0 and s1.quads_per_sec >= 0
 
         # a re-dump after a sync is a no-op: it returns the sync's manifest
@@ -185,8 +212,7 @@ class TestRuns:
 
         # same v2 state at a later checkpoint: no change to publish
         m2 = runs.run_sync(
-            SF_SMALL, sink, checkpoint="20240101010102", cfg=CFG,
-            prev_version=2, snapshot_root=snaps,
+            SF_SMALL, sink, checkpoint="20240101010102", cfg=CFG, snapshot_root=snaps
         )
         assert m2.quad_count == 0
         assert runs.current_snapshot(snaps) == "at-20240101010102"
@@ -236,21 +262,11 @@ class TestRuns:
         with open(os.path.join(snaps, "SNAPSHOT")) as f:
             assert f.read().strip() == "at-20240101010101"
         assert ckpt.read_cursor(snap) == "20240101010101"
-        # delta identical to a never-crashed recompute run
-        plain = str(tmp_path / "plain")
-        runs.run_dump(SF_SMALL, plain, epoch="E1", cfg=CFG)
-        runs.run_sync(SF_SMALL, plain, checkpoint="20240101010101", cfg=CFG)
-        want = {
-            (f.name, f.md5)
-            for f in load_manifest(plain).files
-            if "20240101010101" in f.name
-        }
-        got = {
-            (f.name, f.md5)
-            for f in load_manifest(snap).files
-            if "20240101010101" in f.name
-        }
-        assert got == want and got
+        # delta identical to the reference sink's
+        ref = str(tmp_path / "ref")
+        _reference_sink(ref, "20240101010101")
+        want = _published_at(ref, "20240101010101")
+        assert _published_at(snap, "20240101010101") == want and want
 
     def test_sync_crash_between_manifest_and_cursor_no_duplicates(
         self, tmp_path, monkeypatch
@@ -307,47 +323,36 @@ class TestRuns:
         # every published quad is ingested exactly once
         back = to_arrow(read_rdfpatch(sink))
         assert len(back) == m.total_quads
-        # exact parity with a never-crashed run
-        plain = str(tmp_path / "plain")
-        runs.run_dump(SF_SMALL, plain, epoch="E1", cfg=CFG)
-        mp = runs.run_sync(SF_SMALL, plain, checkpoint="20240101010101", cfg=CFG)
+        # exact parity with the reference sink
+        _, mp = _reference_sink(str(tmp_path / "ref"), "20240101010101")
         assert {(f.name, f.md5) for f in m.files} == {
             (f.name, f.md5) for f in mp.files
         }
         assert m.total_quads == mp.total_quads
 
-    def test_sync_bootstraps_missing_snapshot(self, tmp_path):
-        """ADVICE r2 (low): run_sync with snapshot_root set but no snapshot
-        (dump ran without one) bootstraps the snapshot from the committed
-        prev state instead of silently recomputing forever."""
+    def test_sync_against_an_empty_snapshot_root_raises(self, tmp_path):
+        """A sync whose snapshot_root holds no committed snapshot has no
+        prior state to diff against: it raises and commits nothing."""
+        from virtuoso_quad_log_ray.state.manifest import POINTER
+
         sink = str(tmp_path / "sink")
-        snaps = str(tmp_path / "snapshots")
-        runs.run_dump(SF_SMALL, sink, epoch="E1", cfg=CFG)  # NO snapshot_root
-        assert not os.path.exists(os.path.join(snaps, "SNAPSHOT"))
-        m = runs.run_sync(
-            SF_SMALL, sink, checkpoint="20240101010101", cfg=CFG,
-            snapshot_root=snaps,
-        )
-        assert m.quad_count > 0
-        # snapshot now exists and points at the new state
-        with open(os.path.join(snaps, "SNAPSHOT")) as f:
-            assert f.read().strip() == "at-20240101010101"
-        # the bootstrapped prev snapshot produced the SAME changelog as the
-        # recompute path
-        plain = str(tmp_path / "plain")
-        runs.run_dump(SF_SMALL, plain, epoch="E1", cfg=CFG)
-        runs.run_sync(SF_SMALL, plain, checkpoint="20240101010101", cfg=CFG)
-        want = {
-            (f.name, f.md5)
-            for f in load_manifest(plain).files
-            if "20240101010101" in f.name
-        }
-        got = {
-            (f.name, f.md5)
-            for f in load_manifest(sink).files
-            if "20240101010101" in f.name
-        }
-        assert got == want and got
+        empty = str(tmp_path / "empty")
+        os.makedirs(empty)
+        runs.run_dump(SF_SMALL, sink, epoch="E1", cfg=CFG)  # sink-owned snapshot
+
+        def state():
+            with open(os.path.join(sink, POINTER)) as f:
+                pointer = f.read().strip()
+            return pointer, ckpt.read_cursor(sink), ckpt.read_epoch(sink), load_manifest(sink).files
+
+        before = state()
+        with pytest.raises(RuntimeError, match="no committed snapshot"):
+            runs.run_sync(
+                SF_SMALL, sink, checkpoint="20240101010101", cfg=CFG, snapshot_root=empty
+            )
+        assert state() == before
+        written = [n for _, _, names in os.walk(sink) for n in names if "20240101010101" in n]
+        assert written == [] and os.listdir(empty) == []
 
     def test_roundtrip_read_back(self, tmp_path):
         """write_rdfpatch -> read_rdfpatch reproduces the quad multiset
@@ -942,12 +947,14 @@ ray.shutdown()
 
 
 def test_recompute_paths_finish_at_one_cpu(tmp_path, oracle):
-    """The recompute changelog (``changelog``, ``replay_state``, a plain
-    ``run_dump`` + ``run_sync``), a relational ``left anti`` join, the
-    n-gram self-join and the forced connected-components fixpoint must
-    finish on a 1-CPU Ray cluster with oracle-equal row counts: every one
-    of them, joins included, runs on the bucketed shuffle, and no join
-    starts aggregator actors that could hold the only CPU."""
+    """The recompute changelog (``changelog``, ``replay_state``), a
+    ``run_dump`` + ``run_sync`` (snapshot-backed like every run, on the
+    Dataset executor: ``quads_version`` yields a Dataset), a relational
+    ``left anti`` join, the n-gram self-join and the forced
+    connected-components fixpoint must finish on a 1-CPU Ray cluster with
+    oracle-equal row counts: every one of them, joins included, runs on
+    the bucketed shuffle, and no join starts aggregator actors that could
+    hold the only CPU."""
     from virtuoso_quad_log_ray.config import DEFAULT_CONFIG as cfg
     from virtuoso_quad_log_ray.pipelines import changelog as cl
     from virtuoso_quad_log_ray.pipelines import relational as rel

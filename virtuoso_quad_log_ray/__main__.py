@@ -9,6 +9,9 @@
     python -m virtuoso_quad_log_ray export-jsonl --pages TABLE --out DIR [--buckets N]
     python -m virtuoso_quad_log_ray validate --sf DIR [--out SINK]
 
+dump, sync and run keep the stored quad-set snapshot that every sync diffs
+against in SINK/snapshots, so the three commands address the same state.
+
 Each invocation is one bounded run (the reference's poll loop,
 quad-logger/entrypoint.sh:14-17, calls the run body once per interval; an
 external scheduler calls this CLI the same way — the `ray job submit` unit).
@@ -87,12 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--interval", type=float, default=60.0, help="seconds between runs")
     r.add_argument("--max-runs", type=int, default=None, help="stop after N runs (default: forever)")
     r.add_argument("--epoch", default=None)
-    r.add_argument(
-        "--snapshot-root",
-        default=None,
-        help="dir for materialized quad-set checkpoints; syncs diff against "
-        "the stored snapshot instead of recomputing the prior crawl",
-    )
 
     w = sub.add_parser(
         "export-warc", help="pages corpus -> bucketed WARC shards + manifest"
@@ -163,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
                 interval_s=args.interval,
                 max_runs=args.max_runs,
                 epoch=args.epoch,
-                snapshot_root=args.snapshot_root,
                 cfg=_cfg(args),
             )
             for man in mans:

@@ -15,8 +15,8 @@ its counterpart in the same bucket task and the diff needs no join
 exchange. Work per bucket is bounded by that bucket, not by the corpus.
 Two callers feed the buckets:
 
-* the snapshot-backed sync (pipelines/runs.py): inside the ONE
-  ``groupby(bucket)`` task that writes the new snapshot's shard, the prior
+* every sync (pipelines/runs.py): inside the ONE bucket task that
+  writes the new snapshot's shard, the prior
   snapshot's shard for the same bucket is read straight from disk;
 * ``diff_quads`` and ``replay_state``: two arbitrary quad Datasets are
   co-partitioned by graph in one ``shuffle.co_bucket`` exchange
@@ -129,6 +129,7 @@ def _paired(prev: ray.data.Dataset, new: ray.data.Dataset, fn) -> ray.data.Datas
     )
 
 
+# ``cfg`` is read by nothing; feedbench/traced.py is the only caller that passes it.
 def diff_quads(
     prev: ray.data.Dataset,
     new: ray.data.Dataset,

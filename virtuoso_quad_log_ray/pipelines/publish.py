@@ -1,9 +1,8 @@
 """Publication layer: rdfpatch file sink + incremental zip bundling.
 
-Data plane (distributed): ``write_rdfpatch`` renders and writes per-graph
-chunked rdfpatch text files — one ``groupby(bucket).map_groups`` shuffle
-(bucket = hash(g) % n_buckets, many graphs per task) doing what THREE
-reference components did serially:
+Data plane: ``write_patch_files`` renders and writes one bucket's
+per-graph chunked rdfpatch text files (bucket = hash(g) % n_buckets, many
+graphs per task), doing what THREE reference components did serially:
 
   * per-graph buffering + maxq chunking (vql_buffer_nquad,
     quad-logger/sql-proc/buffer_nquads.sql:8-29; MAX_QUADS_PER_FILE
@@ -19,11 +18,14 @@ helpers; files become visible only through the committed manifest
 (state/manifest.py) — the sham-sentinel protocol (T3) without sentinel
 races. Each bucket task returns the FileEntry metadata of what it wrote;
 the driver commits the manifest last. A failed run leaves orphan
-.part/renamed files that no reader ever lists (T5 rollback for free). The
-per-bucket writer (``write_patch_files``) and the metadata-only commit
-(``commit_patch_run``) are shared with the snapshot-backed runs' single
-bucket pass (pipelines/runs.py), which renders each bucket's changelog in
-the same task that diffs it.
+.part/renamed files that no reader ever lists (T5 rollback for free).
+Production runs call ``write_patch_files`` and the metadata-only commit
+(``commit_patch_run``) from their single bucket pass (pipelines/runs.py),
+which renders each bucket's changelog in the same task that diffs it.
+``write_rdfpatch`` writes a whole changelog Dataset through the same two
+functions over one ``shuffle.by_bucket`` pass; it is the reference writer
+the tests (and feedbench's traced lineage) compare the runs against, not a
+production data plane.
 
 Driver plane (metadata-sized): ``Bundler`` reproduces the resourcesync
 zip state machine (zipsynchronizer.py:111-173) with work sized by each
@@ -611,7 +613,7 @@ class Bundler:
 
         by_dir: dict[str, list[FileEntry]] = {}
         for e in files:
-            d, _, _ = e.name.partition("/")
+            d = e.name.rpartition("/")[0]  # a graph's base64 may hold "/"
             if d:
                 by_dir.setdefault(d, []).append(e)
         parts: dict[int, list[str]] = {}

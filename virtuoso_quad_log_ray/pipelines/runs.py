@@ -20,8 +20,11 @@ commits loses no state and publishes nothing twice (T1/T5). A crash
 before it leaves the cursor and pointer on the prior state, and the retry
 publishes the full delta again under the same file names.
 
-Bucket-aligned snapshot runs: with a ``snapshot_root`` (which
-``run_sync_quads``/``run_sync_pages`` require) a dump or sync is ONE
+Every run is snapshot-backed: the prior state is the stored snapshot
+under ``snapshot_root``, never a recompute of the prior crawl. A caller
+that passes no ``snapshot_root`` gets the sink-owned ``<out_root>/snapshots``
+(:data:`SNAPSHOTS_DIR`; 9 characters, so no padded base64 graph dir,
+whose length is a multiple of 4, can be named so). A dump or sync is ONE
 bucket pass (``shuffle.by_bucket``), bucket = ``hash(g) % n_buckets`` —
 the partitioning the stored snapshot and the patch sink already share.
 One per-bucket function, ``sync_bucket``, sorts and writes the bucket's
@@ -36,17 +39,13 @@ is bucketed and looped over in the calling process. The pages runs pick
 the table when the pages Parquet is smaller than
 :data:`IN_PROCESS_BYTES`, the size below which Ray's fixed cost per run
 outweighs the work; both executors publish the same bytes.
-Without a ``snapshot_root`` a dump writes ``_with_op(quads, "+")`` and a
-sync writes ``changelog.diff_quads(prev, new)`` (the same per-bucket
-``diff_bucket`` over one shuffle of both states) through
-``write_rdfpatch``; that plain sink is the reference the snapshot-backed
-sinks are tested against.
 
 State layout under ``out_root`` (all via state/manifest + state/checkpoint):
   MANIFEST + manifest-*.json   committed files + counters (A1/A3)
   cursor.ts14                  last fully-processed input watermark
   epoch.ts14                   run-lineage handshake token
   <b64(graph)>/rdf_out_*       the published patch files
+  snapshots/                   the default snapshot_root (no manifest lists it)
 """
 
 from __future__ import annotations
@@ -58,12 +57,8 @@ import pyarrow as pa
 import ray.data
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
-from virtuoso_quad_log_ray.pipelines.changelog import diff_quads, quads_version, with_op
-from virtuoso_quad_log_ray.pipelines.publish import (
-    commit_patch_run,
-    wall_clock,
-    write_rdfpatch,
-)
+from virtuoso_quad_log_ray.pipelines.changelog import quads_version, with_op
+from virtuoso_quad_log_ray.pipelines.publish import commit_patch_run, wall_clock
 from virtuoso_quad_log_ray.rdfpatch import TS14_ZERO
 from virtuoso_quad_log_ray.state import checkpoint as ckpt
 from virtuoso_quad_log_ray.state.manifest import (
@@ -74,6 +69,7 @@ from virtuoso_quad_log_ray.state.manifest import (
 )
 
 
+# Only caller: feedbench/traced.py's dump round.
 def _with_op(quads: ray.data.Dataset, op: str) -> ray.data.Dataset:
     def add(b: pa.Table) -> pa.Table:
         return with_op(b, op)
@@ -83,7 +79,7 @@ def _with_op(quads: ray.data.Dataset, op: str) -> ray.data.Dataset:
 
 # ---------------------------------------------------------------------------
 # Snapshot checkpoints (north_star: "resumable from per-partition
-# checkpoints"): each run can persist its canonical quad set as the bucketed
+# checkpoints"): each run persists its canonical quad set as the bucketed
 # sorted-Parquet layout (pipelines/materialize.py), and the next sync diffs
 # against the STORED prior snapshot instead of recomputing it from source —
 # at 100 TB recomputing the previous crawl's extraction is not an option.
@@ -93,6 +89,7 @@ def _with_op(quads: ray.data.Dataset, op: str) -> ray.data.Dataset:
 # ---------------------------------------------------------------------------
 
 SNAPSHOT_POINTER = "SNAPSHOT"
+SNAPSHOTS_DIR = "snapshots"  # the default snapshot_root, under out_root
 
 
 def _snapshot_dir(root: str, checkpoint: str) -> str:
@@ -108,6 +105,7 @@ def current_snapshot(root: str) -> str | None:
         return f.read().strip()
 
 
+# Only caller: feedbench/traced.py.
 def read_snapshot(root: str) -> ray.data.Dataset | None:
     """Quad Dataset of the current committed snapshot, or None."""
     from virtuoso_quad_log_ray.pipelines.materialize import read_materialized
@@ -116,6 +114,7 @@ def read_snapshot(root: str) -> ray.data.Dataset | None:
     return None if name is None else read_materialized(os.path.join(root, name))
 
 
+# Only caller: feedbench/traced.py (directly, and through write_snapshot).
 def materialize_snapshot(
     root: str, quads: ray.data.Dataset, *, checkpoint: str, epoch: str
 ) -> str:
@@ -148,10 +147,11 @@ def commit_snapshot(root: str, name: str) -> None:
         shutil.rmtree(os.path.join(root, stale), ignore_errors=True)
 
 
+# Only caller: feedbench/traced.py's dump round.
 def write_snapshot(root: str, quads: ray.data.Dataset, *, checkpoint: str, epoch: str):
     """Materialize + commit in one step — safe only when there is no
-    in-flight patch run depending on the PREVIOUS snapshot (dump/bootstrap
-    paths). Syncs must use the two-phase form."""
+    in-flight patch run depending on the PREVIOUS snapshot (a dump).
+    Syncs must use the two-phase form."""
     name = materialize_snapshot(root, quads, checkpoint=checkpoint, epoch=epoch)
     commit_snapshot(root, name)
 
@@ -159,7 +159,7 @@ def write_snapshot(root: str, quads: ray.data.Dataset, *, checkpoint: str, epoch
 # ---------------------------------------------------------------------------
 # Bucket-aligned snapshot pass (see the module docstring): write the new
 # snapshot, diff it against the prior one and write the patch files in ONE
-# bucket pass. Shared by every snapshot-backed dump and sync.
+# bucket pass. Every dump and sync runs it.
 # ---------------------------------------------------------------------------
 
 
@@ -262,7 +262,7 @@ def _aligned_snapshot(root: str) -> tuple[str, RunManifest]:
     return os.path.join(root, rekeyed), man
 
 
-def _repair(out_root: str, snapshot_root: str | None) -> tuple[RunManifest | None, bool]:
+def _repair(out_root: str, snapshot_root: str) -> tuple[RunManifest | None, bool]:
     """Bring epoch, cursor and SNAPSHOT pointer up to the committed patch
     manifest, the run's transaction. Returns ``(manifest, cursor_was_behind)``;
     ``(None, False)`` on a sink with no committed run.
@@ -283,11 +283,10 @@ def _repair(out_root: str, snapshot_root: str | None) -> tuple[RunManifest | Non
     behind = cursor is None or cursor < man.checkpoint
     if behind:
         ckpt.write_cursor(out_root, man.checkpoint)
-    if snapshot_root is not None:
-        name = f"at-{man.checkpoint}"
-        older = (current_snapshot(snapshot_root) or "") < name
-        if older and load_manifest(os.path.join(snapshot_root, name)) is not None:
-            commit_snapshot(snapshot_root, name)
+    name = f"at-{man.checkpoint}"
+    older = (current_snapshot(snapshot_root) or "") < name
+    if older and load_manifest(os.path.join(snapshot_root, name)) is not None:
+        commit_snapshot(snapshot_root, name)
     return man, behind
 
 
@@ -300,28 +299,26 @@ def _run(
     snapshot_root: str | None,
     last_source: str,
     epoch: str | None = None,
-    prev_quads: ray.data.Dataset | None = None,
 ) -> RunManifest:
     """One run — a dump when ``epoch`` is given, else a sync — gated and
-    committed as the module docstring describes.
+    committed as the module docstring describes. ``snapshot_root`` None
+    is the sink-owned ``<out_root>/snapshots``.
 
     After :func:`_repair`: a dump on a sink with any committed manifest
-    returns it and writes nothing. A sync needs a committed manifest; a
-    retry at the committed checkpoint whose cursor write was lost returns
-    that manifest; any other sync must come after the cursor.
-
-    ``prev_quads`` is the prior state: the plain sink's sync diffs it, and
-    a snapshot-backed sync with no snapshot yet (the dump ran without
-    ``snapshot_root``) first stores it as the snapshot of the committed
-    checkpoint (ADVICE r2, low), so later syncs never recompute it.
+    returns it and writes nothing. A sync needs a committed manifest and a
+    committed snapshot under ``snapshot_root``; a retry at the committed
+    checkpoint whose cursor write was lost returns that manifest; any
+    other sync must come after the cursor.
     """
     from virtuoso_quad_log_ray.state.validate import validate_sink
 
     validate_sink(out_root)
+    snapshot_root = snapshot_root or os.path.join(out_root, SNAPSHOTS_DIR)
     prev, behind = _repair(out_root, snapshot_root)
     dump = epoch is not None
     if dump and prev is not None:
         return prev
+    prev_snap = None
     if not dump:
         if prev is None:
             raise RuntimeError("no dump committed yet: dump first")
@@ -330,7 +327,10 @@ def _run(
         cursor = ckpt.read_cursor(out_root)
         if checkpoint <= cursor:
             raise RuntimeError(f"checkpoint {checkpoint} not after cursor {cursor}")
+        if current_snapshot(snapshot_root) is None:
+            raise RuntimeError(f"no committed snapshot under {snapshot_root}")
         epoch = ckpt.read_epoch(out_root)
+        prev_snap = _aligned_snapshot(snapshot_root)
     run = dict(
         epoch=epoch,
         checkpoint=checkpoint,
@@ -339,35 +339,21 @@ def _run(
         last_source=last_source,
     )
     t_run0, started = time.perf_counter(), wall_clock()
-    if snapshot_root is None:
-        if isinstance(new_quads, pa.Table):
-            new_quads = ray.data.from_arrow(new_quads)
-        log = _with_op(new_quads, "+") if dump else diff_quads(prev_quads, new_quads, cfg)
-        manifest = write_rdfpatch(log, out_root, cfg=cfg, **run)
-    else:
-        prev_snap = None
-        if not dump:
-            if current_snapshot(snapshot_root) is None:
-                if prev_quads is None:
-                    raise RuntimeError("no snapshot checkpoint: dump with snapshot_root first")
-                write_snapshot(snapshot_root, prev_quads, checkpoint=prev.checkpoint, epoch=epoch)
-            prev_snap = _aligned_snapshot(snapshot_root)
-        patches = _bucket_pass(
-            new_quads,
-            _snapshot_dir(snapshot_root, checkpoint),
-            out_root,
-            checkpoint=checkpoint,
-            epoch=epoch,
-            cfg=cfg,
-            t_run0=t_run0,
-            prev=prev_snap,
-        )
-        manifest = commit_patch_run(out_root, patches, t_run0=t_run0, started=started, **run)
+    patches = _bucket_pass(
+        new_quads,
+        _snapshot_dir(snapshot_root, checkpoint),
+        out_root,
+        checkpoint=checkpoint,
+        epoch=epoch,
+        cfg=cfg,
+        t_run0=t_run0,
+        prev=prev_snap,
+    )
+    manifest = commit_patch_run(out_root, patches, t_run0=t_run0, started=started, **run)
     if dump:
         ckpt.write_epoch(out_root, epoch)
     ckpt.write_cursor(out_root, checkpoint)
-    if snapshot_root is not None:
-        commit_snapshot(snapshot_root, f"at-{checkpoint}")
+    commit_snapshot(snapshot_root, f"at-{checkpoint}")
     return manifest
 
 
@@ -414,17 +400,18 @@ def run_sync(
     *,
     checkpoint: str,
     cfg: EngineConfig = DEFAULT_CONFIG,
-    prev_version: int = 1,
     new_version: int = 2,
     snapshot_root: str | None = None,
 ) -> RunManifest:
-    """One incremental sync: +/- changelog between the prev and current
-    snapshots, appended to the sink under the new checkpoint ts.
+    """One incremental sync: +/- changelog between the stored snapshot and
+    snapshot ``new_version``, appended to the sink under the new
+    checkpoint ts.
 
     Requires a committed dump (parse_trx_logs cursor gate,
-    generate-rdfpatch.sh:348-351). With ``snapshot_root`` the PREV side is
-    the stored snapshot checkpoint (no recomputation of the prior crawl),
-    and the new state is checkpointed in the same bucket pass as the diff.
+    generate-rdfpatch.sh:348-351). The PREV side is the stored snapshot
+    under ``snapshot_root`` (default ``<out_root>/snapshots``; the prior
+    crawl is never recomputed), and the new state is checkpointed in the
+    same bucket pass as the diff.
 
     Crash-window semantics (commit order: snapshot manifest -> patch
     manifest -> cursor -> SNAPSHOT pointer):
@@ -449,16 +436,15 @@ def run_sync(
         cfg=cfg,
         snapshot_root=snapshot_root,
         last_source=f"{sf_dir}#v{new_version}",
-        prev_quads=quads_version(sf_dir, prev_version, cfg),
     )
 
 
 # ---------------------------------------------------------------------------
 # Production loop over a REAL pages table (input_hint schema): the dump
 # checkpoints the canonical quad set; every sync re-extracts the CURRENT
-# table and diffs it against the stored snapshot — the prior crawl is never
-# recomputed. These are the quad-set-generic forms of run_dump/run_sync
-# (which keep the sandbox's deterministic v1/v2 snapshot-pair semantics).
+# table and diffs it against the stored snapshot. These are the
+# quad-set-generic forms of run_dump/run_sync (which read the sandbox's
+# deterministic v1/v2 snapshot pair).
 # ---------------------------------------------------------------------------
 
 
@@ -489,14 +475,13 @@ def run_sync_quads(
     out_root: str,
     *,
     checkpoint: str,
-    snapshot_root: str,
+    snapshot_root: str | None = None,
     cfg: EngineConfig = DEFAULT_CONFIG,
     last_source: str = "",
 ) -> RunManifest:
-    """Incremental sync of an arbitrary quad Dataset against the STORED
-    snapshot (snapshot_root is required — there is no recompute fallback
-    for a mutable real-world source). Crash-window semantics identical to
-    :func:`run_sync` (see its docstring)."""
+    """Incremental sync of an arbitrary quad Dataset against the stored
+    snapshot. Crash-window semantics identical to :func:`run_sync` (see
+    its docstring)."""
     return _run(
         new_quads,
         out_root,
@@ -568,7 +553,7 @@ def run_sync_pages(
     out_root: str,
     *,
     checkpoint: str,
-    snapshot_root: str,
+    snapshot_root: str | None = None,
     cfg: EngineConfig = DEFAULT_CONFIG,
 ) -> RunManifest:
     """Incremental sync: re-extract the CURRENT pages table, diff against
@@ -581,12 +566,6 @@ def run_sync_pages(
         cfg=cfg,
         last_source=pages_path,
     )
-
-
-def _version_of(last_source: str) -> int:
-    """'<sf_dir>#vN' -> N (the snapshot version a committed run last saw)."""
-    _, _, tag = last_source.rpartition("#v")
-    return int(tag) if tag.isdigit() else 1
 
 
 def run_loop(
@@ -608,7 +587,7 @@ def run_loop(
 
     Each iteration is one bounded run (the ``ray job submit`` unit): no
     committed manifest -> initial dump of snapshot v1; otherwise incremental
-    sync from the last committed snapshot version to ``current_version``
+    sync from the stored snapshot to snapshot ``current_version``
     (a re-poll with no upstream change diffs vN against vN: zero records,
     cursor still advances — the reference likewise writes nothing when the
     trx log has no new quads). ``sleep``/``now`` are injectable for tests;
@@ -627,8 +606,7 @@ def run_loop(
     while max_runs is None or i < max_runs:
         if i:
             sleep(interval_s)
-        prev = load_manifest(out_root)
-        if prev is None:
+        if load_manifest(out_root) is None:
             man = run_dump(
                 sf_dir,
                 out_root,
@@ -643,7 +621,6 @@ def run_loop(
                 out_root,
                 checkpoint=ts14(now()),
                 cfg=cfg,
-                prev_version=_version_of(prev.last_source),
                 new_version=current_version,
                 snapshot_root=snapshot_root,
             )
