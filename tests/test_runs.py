@@ -570,23 +570,24 @@ class TestBucketAlignedSync:
         assert f"bucket={emptied:05d}/part.parquet" not in shards
 
     def test_one_shuffle_per_run_no_join_no_snapshot_read(self, tmp_path, monkeypatch):
-        """A snapshot-backed dump or sync is ONE groupby shuffle: no Ray
-        join, and the stored snapshot is never read through Ray."""
+        """A snapshot-backed dump or sync is ONE shuffle, by_bucket's range
+        sort: no Ray join, and the stored snapshot is never read through
+        Ray."""
         import ray.data
 
         sink, snaps = str(tmp_path / "sink"), str(tmp_path / "snaps")
         prev, new = self._quads(1), self._quads(2)
         shuffles = []
-        real_groupby = ray.data.Dataset.groupby
+        real_sort = ray.data.Dataset.sort
 
-        def counting_groupby(ds, *a, **k):
+        def counting_sort(ds, *a, **k):
             shuffles.append(a)
-            return real_groupby(ds, *a, **k)
+            return real_sort(ds, *a, **k)
 
         def forbidden(*a, **k):
             raise AssertionError("snapshot-backed run used a Ray join or read")
 
-        monkeypatch.setattr(ray.data.Dataset, "groupby", counting_groupby)
+        monkeypatch.setattr(ray.data.Dataset, "sort", counting_sort)
         monkeypatch.setattr(ray.data.Dataset, "join", forbidden)
         monkeypatch.setattr(ray.data, "read_parquet", forbidden)
         runs.run_dump_quads(ray.data.from_arrow(prev), sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
@@ -689,8 +690,9 @@ def _sink_state(sink, snaps):
 @pytest.mark.usefixtures("ray_session")
 class TestExecutors:
     """``shuffle.by_bucket`` runs the bucket pass in-process on a
-    ``pa.Table`` and as one Ray Data groupby on a Dataset; both call the
-    same ``sync_bucket``, so they must commit the same bytes."""
+    ``pa.Table`` and as one Ray Data range sort on a Dataset; both run the
+    same per-bucket loop over the same ``sync_bucket``, so they must
+    commit the same bytes."""
 
     CKPTS = ("20250101000000", "20250101000001")
 
@@ -715,9 +717,10 @@ class TestExecutors:
         dataset_states, dataset_counts = self._runs(tmp_path, "ray", ray.data.from_arrow)
 
         def forbidden(*a, **k):
-            raise AssertionError("the in-process executor ran a Ray Data groupby")
+            raise AssertionError("the in-process executor ran a Ray Data shuffle")
 
         monkeypatch.setattr(ray.data.Dataset, "groupby", forbidden)
+        monkeypatch.setattr(ray.data.Dataset, "sort", forbidden)
         table_states, table_counts = self._runs(tmp_path, "table", lambda t: t)
         assert table_counts == dataset_counts
         assert table_counts[0] > 0 and table_counts[1] == 0  # unchanged re-crawl: 0 records
@@ -771,6 +774,7 @@ class TestExecutors:
 
         monkeypatch.setattr(ray.data, "read_parquet", forbidden)
         monkeypatch.setattr(ray.data.Dataset, "groupby", forbidden)
+        monkeypatch.setattr(ray.data.Dataset, "sort", forbidden)
         sink, snaps = str(tmp_path / "sink"), str(tmp_path / "snaps")
         m = runs.run_dump_pages(path, sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
         assert m.quad_count > 0

@@ -23,26 +23,34 @@ def _keys(kind: str) -> pa.Array:
     return pa.array(vals, type=pa.int64())
 
 
-def _expected_buckets(keys: pa.Array) -> np.ndarray:
+def _expected_buckets(keys: pa.Array, n_buckets: int = N_BUCKETS) -> np.ndarray:
     """The documented keying: hash128 for strings, uint64(key) for ints."""
     if pa.types.is_integer(keys.type):
         h = keys.to_numpy().astype(np.int64).view(np.uint64)
     else:
         h = hash128(keys)[0].view(np.uint64)
-    return (h % np.uint64(N_BUCKETS)).astype(np.int64)
+    return (h % np.uint64(n_buckets)).astype(np.int64)
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("kind", ["string", "int64"])
+@pytest.mark.parametrize("kind", ["string", "int64", "null_keys", "one_bucket"])
 def test_by_bucket_routes_every_row_once_to_its_bucket(kind):
+    """Both executors call ``fn`` once per bucket that holds rows or is
+    named in ``also``, with exactly that bucket's rows. A row with a null
+    key is data like any other, also next to ``also``'s marker rows; one
+    bucket is one range (Ray samples the boundaries of a sort given
+    none)."""
     import ray.data
 
-    keys = _keys(kind)
+    n_buckets = 1 if kind == "one_bucket" else N_BUCKETS
+    keys = _keys("int64" if kind == "int64" else "string")
+    if kind == "null_keys":
+        keys = pa.array([None if i % 7 == 3 else k for i, k in enumerate(keys.to_pylist())])
     rows = pa.table({"k": keys, "rid": pa.array(range(N_ROWS), type=pa.int64())})
-    expected = _expected_buckets(keys)
+    expected = _expected_buckets(keys, n_buckets)
     hit = set(expected.tolist())
-    also = [b for b in range(N_BUCKETS) if b not in hit][:3]
-    assert also, "every bucket is hit; widen N_BUCKETS"
+    # buckets no row hashes to; with one bucket, a marker in a bucket that holds rows
+    also = [b for b in range(n_buckets) if b not in hit][:3] or [0]
 
     def fn(bucket: int, got: pa.Table) -> pa.Table:
         return pa.table(
@@ -54,9 +62,13 @@ def test_by_bucket_routes_every_row_once_to_its_bucket(kind):
         )
 
     ds = ray.data.from_arrow([rows.slice(i, 10) for i in range(0, N_ROWS, 10)])
-    dataset_calls = by_bucket(ds, "k", N_BUCKETS, fn, schema=rows.schema, also=also).take_all()
+    dataset_calls = by_bucket(
+        ds, "k", n_buckets, fn, schema=rows.schema, also=also
+    ).take_all()
     # the in-process executor: same calls, in ascending bucket order
-    table_calls = by_bucket(rows, "k", N_BUCKETS, fn, schema=rows.schema, also=also).to_pylist()
+    table_calls = by_bucket(
+        rows, "k", n_buckets, fn, schema=rows.schema, also=also
+    ).to_pylist()
     assert [c["called"] for c in table_calls] == sorted(hit | set(also))
 
     for calls in (dataset_calls, table_calls):
@@ -67,7 +79,7 @@ def test_by_bucket_routes_every_row_once_to_its_bucket(kind):
             assert all(int(expected[r]) == c["called"] for r in c["rids"])
         buckets = [c["called"] for c in calls]
         assert len(buckets) == len(set(buckets)), "one bucket got two calls"
-        for b in also:
+        for b in set(also) - hit:
             assert [c["rids"] for c in calls if c["called"] == b] == [[]], b
         assert set(buckets) == hit | set(also)
 
@@ -144,6 +156,55 @@ def test_co_bucket_joins_equal_one_table_join(kind, join_type):
     got = pa.concat_tables(got).select(want.column_names)
     order = [(c, "ascending") for c in want.column_names]
     assert got.sort_by(order).equals(want.sort_by(order))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_a_range_over_the_block_size_limit_reaches_fn_whole():
+    """A bucket range far bigger than ``target_max_block_size`` still
+    reaches ``fn`` as one call per bucket holding all of the bucket's
+    rows: the sort's reduce writes each range as one block."""
+    import ray.data
+
+    n_rows, n_buckets = 4000, 16
+    keys = pa.array(np.arange(n_rows) % 50, type=pa.int64())
+    rows = pa.table({"k": keys, "pad": pa.array(["x" * 200] * n_rows)})
+    ctx = ray.data.DataContext.get_current()
+    limit = ctx.target_max_block_size
+    ctx.target_max_block_size = 16 * 1024  # a range holds ~100 KB
+    try:
+        calls = by_bucket(
+            _blocks(rows, 500),
+            "k",
+            n_buckets,
+            lambda b, t: pa.table({"bucket": [b], "n": [len(t)]}),
+        ).take_all()
+    finally:
+        ctx.target_max_block_size = limit
+    want = np.bincount(_expected_buckets(keys, n_buckets), minlength=n_buckets)
+    assert sorted((c["bucket"], c["n"]) for c in calls) == [
+        (b, int(n)) for b, n in enumerate(want) if n
+    ]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_exchanges_output_one_block_per_range_not_per_input_block():
+    """``co_bucket`` and ``bucket_aggregate`` over 32-block inputs output
+    at most ``n_buckets`` blocks, and the right rows."""
+    from virtuoso_quad_log_ray.stages.shuffle import arrow_join, bucket_aggregate, co_bucket
+
+    n_buckets = 8
+    t = pa.table({"k": pa.array(np.arange(320) % 50, type=pa.int64()), "v": np.arange(320)})
+    left, right = _blocks(t, 10), _blocks(t.slice(0, 64), 2)
+
+    def n_blocks(ds) -> int:
+        return sum(len(bundle.blocks) for bundle in ds.iter_internal_ref_bundles())
+
+    assert left.materialize().num_blocks() == right.materialize().num_blocks() == 32
+    joined = co_bucket(left, right, "k", n_buckets, arrow_join("k", right_suffix="_r"))
+    summed = bucket_aggregate(left, ["k"], [("v", "sum")], n_buckets=n_buckets)
+    assert n_blocks(joined) <= n_buckets and n_blocks(summed) <= n_buckets
+    assert joined.count() == len(t.join(t.slice(0, 64), keys="k", right_suffix="_r"))
+    assert summed.count() == 50
 
 
 TOP_K = 4

@@ -36,13 +36,13 @@ class EngineConfig:
     # Hot-key skew (north_rule's named hazard: popular entities, duplicate
     # pages) is handled structurally rather than by a salt knob:
     #   - associative aggregates (count/min/sum) pre-aggregate per block
-    #     before the shuffle (Ray's groupby combiners), so a hot key ships
+    #     before the shuffle (per-block combiners), so a hot key ships
     #     one row per upstream block;
     #   - quadratic join keys use a document-frequency cap
     #     (dedup.ngram_jaccard_pairs max_shingle_freq);
     #   - partition fan-out is bounded by hash-bucketing, not per-key dirs
     #     (pipelines/materialize.py).
-    # Shuffle sizing has no knob either: every groupby and join runs on the
+    # Shuffle sizing has no knob either: every aggregate and join runs on the
     # one bucketed exchange (stages/shuffle.py), whose bucket counts follow
     # the live cluster (default_n_buckets, merge_buckets).
 

@@ -10,7 +10,7 @@ Ray-Data-first re-expression of the reference's dump path
 
 The reference needed a GLOBAL ``ORDER BY ?g`` (dump_nquads.sql:49) or an
 unbounded in-server dict buffer (documented OOM, buffer_nquads.sql:7) to get
-graph-homogeneous files; here a hash ``groupby('g')`` shuffle does it with
+graph-homogeneous files; here one exchange bucketed by ``hash(g)`` does it with
 bounded memory — exactly the skew/memory bug Ray Data's shuffle fixes
 (SURVEY.md §4).
 

@@ -12,13 +12,13 @@ scale:
 - Quads are sorted (g, s, p, o) WITHIN each bucket partition — adjacency
   order for graph-local scans; no global sort (the reference's
   ``ORDER BY ?g``, dump_nquads.sql:44-49, is unnecessary under hashing).
-- One ``groupby(bucket).map_groups`` shuffle does partitioning + sorting +
-  writing; only file metadata returns to the driver, which commits a
-  manifest last (resumable: a re-run skips buckets already committed).
+- One bucketed shuffle (``stages.shuffle.by_bucket``) does partitioning +
+  sorting + writing; only file metadata returns to the driver, which
+  commits a manifest last (resumable: a re-run skips committed buckets).
 
 This module is also the one home of the bucketed-sink protocol, which
-every file sink shares on top of the shuffle (``stages.shuffle.by_bucket``,
-which owns the keying and the single ``groupby``): :func:`write_atomic`
+every file sink shares on top of the shuffle (``by_bucket``, which owns
+the keying and the one per-bucket loop): :func:`write_atomic`
 (``.part`` + rename, md5 + length), :func:`reusable_entries` (the
 same-epoch resume gate) and :func:`commit_materialized` (the manifest of a
 non-append sink), composed by :func:`write_bucketed` for

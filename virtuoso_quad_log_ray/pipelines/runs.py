@@ -33,9 +33,9 @@ bucket straight from disk, takes both anti-join directions locally
 (``changelog.diff_bucket``) and writes that bucket's +/- patch files
 (``publish.write_patch_files``). Only file metadata comes back to the
 calling process, which commits. No join aggregators, no second read of
-either snapshot, no second shuffle. Two executors run it: a Dataset of
-quads goes through one ``groupby(bucket).map_groups``, and a ``pa.Table``
-is bucketed and looped over in the calling process. The pages runs pick
+either snapshot, no second shuffle. Two executors run the same bucket
+loop: on a ``pa.Table`` of quads in the calling process, on a Dataset
+once per bucket range of one fixed-boundary sort. The pages runs pick
 the table when the pages Parquet is smaller than
 :data:`IN_PROCESS_BYTES`, the size below which Ray's fixed cost per run
 outweighs the work; both executors publish the same bytes.
@@ -177,7 +177,7 @@ def _bucket_pass(
     """One bucket pass: new quads keyed by ``hash(g) % n_buckets`` -> per
     bucket the sorted snapshot shard under ``snap_dir`` and the patch files
     under ``out_root``. A ``pa.Table`` runs in the calling process, a
-    Dataset as one Ray Data groupby (``shuffle.by_bucket``). Commits the
+    Dataset as one Ray Data range sort (``shuffle.by_bucket``). Commits the
     new snapshot's manifest and returns the patch entries for the
     caller's commit. ``prev`` None = dump (every quad is
     '+'); otherwise it is the prior snapshot's ``(dir, manifest)``, whose

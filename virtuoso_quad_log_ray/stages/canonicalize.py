@@ -244,10 +244,10 @@ def connected_components(
             }
         )
 
-    edges = int_pairs.map_batches(symmetrize, batch_format="pyarrow", zero_copy_batch=True)
-    # reused every round: compact (each block is a split task every round)
-    # and pin once
-    edges = edges.repartition(nb).materialize()
+    # reused every round: pin once
+    edges = int_pairs.map_batches(
+        symmetrize, batch_format="pyarrow", zero_copy_batch=True
+    ).materialize()
 
     # labels0: every endpoint labeled with itself (distinct via groupby)
     labels = _min_label(
@@ -275,9 +275,7 @@ def connected_components(
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        # compacted to nb blocks, or the union would double the label
-        # table's block count every round
-        new_labels = _min_label(messages.union(labels)).repartition(nb).materialize()
+        new_labels = _min_label(messages.union(labels)).materialize()
         # fixpoint test: any label decreased this round?
         changed = (
             co_bucket(

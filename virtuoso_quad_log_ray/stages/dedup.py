@@ -510,7 +510,7 @@ def _dedup_candidate_pairs(joined: ray.data.Dataset) -> ray.data.Dataset:
     )
 
     def to_pairs(batch: pa.Table) -> pa.Table:
-        # sort-shuffle stages (groupby().map_groups upstream) can emit
+        # a by_bucket exchange upstream leaves empty bucket ranges as
         # schema-less empty blocks; guard before touching columns
         if len(batch) == 0 or "url_l" not in batch.schema.names:
             return empty

@@ -180,7 +180,6 @@ def pagerank(
     edges = (
         co_bucket(sym, out_w, "src", nb, arrow_join("src"))
         .map_batches(share_fn, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(nb)  # compact: each block is a split task every round
         .materialize()  # reused every round; pin the share table once
     )
 
@@ -227,14 +226,10 @@ def pagerank(
             )
 
         # symmetric graph: every node is some edge's dst, so the aggregate
-        # covers all n_nodes and no outer-join backfill round is needed;
-        # compacted to nb blocks, or each round would add the edge table's
-        # block count to the next round's exchange
-        ranks = (
-            contrib.map_batches(new_rank, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(nb)
-            .materialize()
-        )
+        # covers all n_nodes and no outer-join backfill round is needed
+        ranks = contrib.map_batches(
+            new_rank, batch_format="pyarrow", zero_copy_batch=True
+        ).materialize()
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({"node": b["node"], "rank": b["rank"]})

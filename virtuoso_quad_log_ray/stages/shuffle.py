@@ -4,10 +4,10 @@ Bucketed shuffle. :func:`by_bucket` keys every row by ``bucket(row[key])
 % n`` and calls ``fn(bucket, rows)`` once per bucket, so all of a
 bucket's keys are handled in one vectorized call (the graph-splitter's
 repartition by graph, split-graphs.sh:73-141, generalized to bounded
-fan-out). It has two executors for the same keying and the same ``fn``:
-a Dataset runs ONE ``groupby(bucket).map_groups``, and a ``pa.Table`` is
-sorted by bucket and sliced in the calling process, for inputs too small
-to pay Ray's fixed cost per execution (``runs.IN_PROCESS_BYTES``). The
+fan-out). Both executors run one per-bucket loop: a ``pa.Table`` in the
+calling process, for inputs too small to pay Ray's fixed cost per
+execution (``runs.IN_PROCESS_BYTES``), and a Dataset once per bucket range
+of ONE fixed-boundary sort, so an exchange outputs one block per range. The
 bucket comes from the key column's type (:func:`_bucket_of`): a string
 key is hashed with ``numerics.hash128``, an integer key is its own hash,
 ``uint64(key) % n``. Every keyed exchange in the engine runs through it:
@@ -143,48 +143,55 @@ def by_bucket(
     ``(row[key], n_buckets)`` and ``fn(bucket, rows)`` once per bucket
     (``rows`` without the bucket column) returning an Arrow table.
 
-    Two executors run the same keying and the same ``fn``. A
-    ``ray.data.Dataset`` runs ONE ``groupby(bucket).map_groups`` and the
-    result is lazy: the caller executes it. A ``pa.Table`` is bucketed in
-    the calling process, one stable sort by bucket and a slice per
-    bucket, in ascending bucket order, and the outputs come back
-    concatenated as one ``pa.Table``; no Ray task runs.
+    Both executors run one loop, ``fn`` in ascending bucket order over
+    :func:`_split`'s slices: a ``pa.Table`` in the calling process,
+    returning one ``pa.Table``; a Dataset once per block of ONE sort on
+    the bucket with fixed boundaries into ``k = min(n_buckets,
+    merge_buckets())`` ranges, returning k lazy blocks (a range with no
+    rows stays an empty block with no columns: Ray runs no UDF on it).
 
     ``schema`` projects and casts rows before keying. ``also`` names
-    bucket ids that must get a call even when no row hashes there (a sync
-    must emit the '-' records of a bucket that emptied): on a Dataset one
-    null-key marker row of ``schema`` per id is unioned in before the
-    groupby and dropped before ``fn`` sees the rows; on a Table those
-    buckets get a zero-row slice."""
+    bucket ids that get a zero-row call when no row hashes there (a sync
+    must emit the '-' records of a bucket that emptied). On a Dataset one
+    marker row of ``schema`` per id takes its range to a task; a
+    ``marker`` column, not a null key, tells it from the data."""
 
     def keyed(b: pa.Table) -> pa.Table:
         if schema is not None:
             b = b.select(schema.names).cast(schema)
         return b.append_column("bucket", _bucket_of(b[key], n_buckets))
 
-    if isinstance(ds, pa.Table):
-        rows, wanted = keyed(ds), set(also)
+    def each_bucket(rows: pa.Table, wanted) -> pa.Table:
         slices = _split(rows.drop_columns(["bucket"]), rows["bucket"].to_numpy(), n_buckets)
         outs = [fn(b, t) for b, t in enumerate(slices) if len(t) or b in wanted]
         outs = [t for t in outs if t.num_columns]
         return pa.concat_tables(outs, promote_options="permissive") if outs else pa.table({})
 
-    def run(group: pa.Table) -> pa.Table:
-        bucket = int(group["bucket"][0].as_py())
-        rows = group.drop_columns(["bucket"])
-        if also:
-            rows = rows.filter(pc.is_valid(rows[key]))
-        return fn(bucket, rows)
+    if isinstance(ds, pa.Table):
+        return each_bucket(keyed(ds), set(also))
+
+    def run(rows: pa.Table) -> pa.Table:
+        if not also:
+            return each_bucket(rows, ())
+        marked = set(pc.filter(rows["bucket"], rows["marker"]).to_pylist())
+        return each_bucket(rows.filter(pc.invert(rows["marker"])).drop_columns(["marker"]), marked)
 
     ds = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
     if also:
         ids = sorted(set(also))
         markers = pa.table(
             {f.name: pa.nulls(len(ids), f.type) for f in schema}
-            | {"bucket": pa.array(ids, type=pa.int64())}
+            | {"bucket": pa.array(ids, type=pa.int64()), "marker": [True] * len(ids)}
         )
-        ds = ds.union(ray.data.from_arrow(markers))
-    return ds.groupby("bucket").map_groups(run, batch_format="pyarrow")
+        unmarked = ds.add_column(
+            "marker", lambda b: pa.array(np.zeros(len(b), bool)), batch_format="pyarrow"
+        )
+        ds = unmarked.union(ray.data.from_arrow(markers))
+    k = min(n_buckets, merge_buckets())
+    bounds = [n_buckets * i // k for i in range(1, k)]
+    # Ray samples the boundaries of a sort given none: one range is a repartition
+    ranges = ds.sort("bucket", boundaries=bounds) if bounds else ds.repartition(1)
+    return ranges.map_batches(run, batch_size=None, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _split(rows: pa.Table, bucket: np.ndarray, n_buckets: int) -> list[pa.Table]:
@@ -217,10 +224,8 @@ def co_bucket(
     one row reaches EVERY bucket as a typed table (its blocks' slices
     concatenated), with zero rows where it has none there, and no schema
     is ever asked of a Dataset. An input with no rows at all reaches
-    ``fn`` as None; when both have none, no bucket task runs. The output
-    has as many blocks as the two inputs together (the sort's partition
-    count), so a loop that feeds it back into the next round compacts it
-    (``repartition``) before it pins the round."""
+    ``fn`` as None; when both have none, no bucket task runs. Like any
+    :func:`by_bucket` result, the output has one block per bucket range."""
 
     def cut(side: int):
         def run(b: pa.Table) -> pa.Table:
@@ -285,9 +290,9 @@ def bucket_aggregate(
     so per-bucket aggregation is globally correct), and each bucket runs
     ONE pyarrow ``Table.group_by().aggregate()`` — C++ hash aggregation.
     Same exchange volume as the native path, vectorized combine cost.
-    Sort partitions holding no bucket still emit EMPTY blocks with an
-    EMPTY schema (zero columns); they hold no rows, so no map UDF, no
-    :func:`co_bucket` and no :func:`blocks_of` ever sees them.
+    A bucket range holding no row is an EMPTY block with an EMPTY schema
+    (zero columns); it holds no rows, so no map UDF, no
+    :func:`co_bucket` and no :func:`blocks_of` ever sees it.
 
     ``hash_col`` names an integer column uniformly distributed across keys
     (e.g. a 64-bit content hash that determines the key); defaults to
@@ -338,8 +343,8 @@ def blocks_of(ds: ray.data.Dataset) -> list[pa.Table]:
     ``Dataset.to_arrow_refs`` executes the pipeline and then asks for its
     schema, which executes it a second time (Ray 2.49); this reads the
     blocks straight from the execution's ref bundles. Zero-row blocks are
-    skipped by their metadata, so the schemaless blocks of empty sort
-    partitions never reach the caller."""
+    skipped by their metadata, so the schemaless blocks of empty bucket
+    ranges (:func:`by_bucket`) never reach the caller."""
     from ray.data.block import BlockAccessor
 
     refs = [
