@@ -18,16 +18,21 @@ from virtuoso_quad_log_ray.state.validate import validate_sink
 CFG = EngineConfig(max_quads_per_file=5000)
 
 
-def _reference_sink(root, checkpoint):
+def _reference_sink(root, checkpoint, v1=None, v2=None):
     """The sink a dump of v1 and a sync to v2 at ``checkpoint`` must
     publish, written without the runs: ``write_rdfpatch`` of every v1 quad
     as '+' at TS14_ZERO, then of ``diff_quads(v1, v2)`` at ``checkpoint``,
-    each with the run fields ``run_dump``/``run_sync`` commit. Returns the
-    dump's and the sync's manifests."""
+    each with the run fields ``run_dump``/``run_sync`` commit. v1 and v2
+    default to the sandbox's quad versions; quad tables are accepted too.
+    Returns the dump's and the sync's manifests."""
+    import ray.data
+
     from virtuoso_quad_log_ray.pipelines.changelog import diff_quads, quads_version, with_op
     from virtuoso_quad_log_ray.pipelines.publish import write_rdfpatch
 
-    v1, v2 = quads_version(SF_SMALL, 1, CFG), quads_version(SF_SMALL, 2, CFG)
+    v1 = quads_version(SF_SMALL, 1, CFG) if v1 is None else v1
+    v2 = quads_version(SF_SMALL, 2, CFG) if v2 is None else v2
+    v1, v2 = (ray.data.from_arrow(v) if isinstance(v, pa.Table) else v for v in (v1, v2))
     dump = write_rdfpatch(
         v1.map_batches(lambda b: with_op(b, "+"), batch_format="pyarrow"),
         root, epoch="E1", checkpoint=TS14_ZERO, kind="dump", cfg=CFG,
@@ -38,6 +43,18 @@ def _reference_sink(root, checkpoint):
         run_index=1, last_source=f"{SF_SMALL}#v2",
     )
     return dump, sync
+
+
+def _carried(snaps, prior, new):
+    """{shard name: whether it is the prior snapshot's file} for every
+    shard of snapshot ``at-<new>``, against snapshot ``at-<prior>``."""
+    a, b = (os.path.join(snaps, f"at-{c}") for c in (prior, new))
+
+    def same(name):
+        old = os.path.join(a, name)
+        return os.path.exists(old) and os.path.samefile(old, os.path.join(b, name))
+
+    return {e.name: same(e.name) for e in load_manifest(b).files}
 
 
 def _published_at(sink, checkpoint):
@@ -127,6 +144,9 @@ class TestRuns:
         # cursor advanced to the last sync's checkpoint
         assert ckpt.read_cursor(root) == mans[2].checkpoint
         assert mans[1].checkpoint < mans[2].checkpoint
+        # the re-poll touched no bucket: every shard carried forward by link
+        snaps = os.path.join(root, runs.SNAPSHOTS_DIR)
+        assert set(_carried(snaps, mans[1].checkpoint, mans[2].checkpoint).values()) == {True}
 
     def test_snapshot_checkpoint_sync(self, tmp_path):
         """Snapshot-backed sync: run_dump materializes the quad set, run_sync
@@ -430,8 +450,8 @@ class TestValidation:
 
 class TestRealPagesRuns:
     """Production loop over a real pages table: dump checkpoints the quad
-    set, sync re-extracts the CURRENT table and diffs against the stored
-    snapshot (no recompute of the prior crawl)."""
+    set, sync digests the CURRENT table and extracts and diffs the changed
+    buckets against the stored snapshot (no recompute of the prior crawl)."""
 
     def test_dump_then_sync_over_mutated_pages(self, tmp_path):
         import pyarrow as pa
@@ -642,6 +662,311 @@ class TestBucketAlignedSync:
         assert new_snap.quad_count == len(new)
 
 
+@pytest.fixture(scope="module")
+def small_pages(ray_session):
+    """The sandbox's small crawl as one pages table, sorted by url."""
+    from tests.conftest import to_arrow
+    from virtuoso_quad_log_ray.sources.pages import read_pages
+
+    return to_arrow(read_pages(SF_SMALL, include_html=True)).sort_by("url")
+
+
+def _set(pages, urls, col, fn):
+    """``pages`` with column ``col`` replaced by ``fn(pages)`` in the rows
+    whose url is in ``urls``."""
+    import pyarrow.compute as pc
+
+    mask = pc.is_in(pages["url"], value_set=pa.array(list(urls), type=pa.string()))
+    col_type = pages.schema.field(col).type
+    new = pc.if_else(mask, pc.cast(fn(pages), col_type), pages[col])
+    return pages.set_column(pages.schema.get_field_index(col), col, new)
+
+
+def _edit_text(pages, urls, suffix=" spark edited"):
+    """``pages`` with ``suffix`` appended to the article text of ``urls``."""
+    import pyarrow.compute as pc
+
+    from virtuoso_quad_log_ray.sources.pages import HTML_PREFIX, HTML_SUFFIX
+
+    pages = _set(pages, urls, "text", lambda p: pc.binary_join_element_wise(p["text"], suffix, ""))
+    return _set(
+        pages,
+        urls,
+        "html",
+        lambda p: pc.binary_join_element_wise(HTML_PREFIX, p["text"], HTML_SUFFIX, ""),
+    )
+
+
+def _bucket_of_urls(urls, n_buckets):
+    from virtuoso_quad_log_ray.stages.shuffle import _bucket_of
+
+    return set(_bucket_of(pa.array(list(urls), type=pa.string()), n_buckets).to_pylist())
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestPageDelta:
+    """A pages run stores a source digest per shard, and the next pages
+    sync extracts, diffs and rewrites only the buckets whose digest moved;
+    every other shard is hard-linked forward. Each published changelog
+    must equal the full diff (``_reference_sink``)."""
+
+    CKPTS = ("20250101000000", "20250101000001", "20250101000002")
+
+    def _runs(self, tmp_path, crawls):
+        """``run_dump_pages`` of ``crawls[0]``, then ``run_sync_pages`` of
+        each later crawl at ``CKPTS``, all in-process; returns (sink,
+        snaps, manifests)."""
+        import pyarrow.parquet as pq
+
+        path = str(tmp_path / "pages.parquet")
+        sink, snaps = str(tmp_path / "sink"), str(tmp_path / "snaps")
+        mans = []
+        for k, pages in enumerate(crawls):
+            pq.write_table(pages, path)
+            assert runs.runs_in_process(path)
+            if k == 0:
+                m = runs.run_dump_pages(path, sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+            else:
+                m = runs.run_sync_pages(
+                    path, sink, checkpoint=self.CKPTS[k - 1], snapshot_root=snaps, cfg=CFG
+                )
+            mans.append(m)
+        return sink, snaps, mans
+
+    def _assert_full_diff(self, tmp_path, sink, prev, new, checkpoint):
+        """The files published at ``checkpoint`` are the full diff of the
+        quads of crawl ``prev`` against crawl ``new``."""
+        from virtuoso_quad_log_ray.pipelines.kg import pages_to_quads
+
+        ref = str(tmp_path / f"ref-{checkpoint}")
+        _reference_sink(ref, checkpoint, pages_to_quads(prev, CFG), pages_to_quads(new, CFG))
+        assert _published_at(sink, checkpoint) == _published_at(ref, checkpoint)
+
+    @staticmethod
+    def _ops(sink, checkpoint):
+        ops = []
+        for name, _ in _published_at(sink, checkpoint):
+            with open(os.path.join(sink, name)) as fh:
+                ops += [r["op"] for r in parse_patch_text(fh.read())[0]]
+        return ops
+
+    def test_work_follows_the_touched_buckets(self, tmp_path, monkeypatch, small_pages):
+        """A 1%-change sync writes and reads the shards of the touched
+        buckets once each and extracts only their rows; every other shard
+        is the prior file. An identical re-sync writes nothing."""
+        import pyarrow.parquet as pq
+
+        from virtuoso_quad_log_ray.pipelines import kg, materialize
+
+        pages = small_pages
+        edited = pages["url"].to_pylist()[::100]
+        sink, snaps, _ = self._runs(tmp_path, [pages])
+        n = load_manifest(os.path.join(snaps, "at-" + TS14_ZERO)).n_buckets
+        touched = _bucket_of_urls(edited, n)
+        writes, reads, extracted = [], [], []
+
+        def bucket_of_path(path):
+            return int(os.path.basename(os.path.dirname(str(path))).partition("=")[2])
+
+        real_write, real_read, real_extract = (
+            materialize.write_snapshot_bucket, pq.read_table, kg.extract_triples_batch
+        )
+
+        def write(quads, path):
+            writes.append(bucket_of_path(path))
+            return real_write(quads, path)
+
+        def read(path, *a, **k):
+            if str(path).startswith(snaps):
+                reads.append(bucket_of_path(path))
+            return real_read(path, *a, **k)
+
+        def extract(texts):
+            extracted.append(texts["url"].to_pylist())
+            return real_extract(texts)
+
+        monkeypatch.setattr(materialize, "write_snapshot_bucket", write)
+        monkeypatch.setattr(pq, "read_table", read)
+        monkeypatch.setattr(kg, "extract_triples_batch", extract)
+        path = str(tmp_path / "pages.parquet")
+        pq.write_table(_edit_text(pages, edited), path)
+        m1 = runs.run_sync_pages(path, sink, checkpoint=self.CKPTS[0], snapshot_root=snaps, cfg=CFG)
+        assert m1.quad_count > 0
+        assert sorted(writes) == sorted(reads) == sorted(touched)
+        assert len(extracted) == 1  # one vectorized extraction, not one per bucket
+        assert set(edited) <= set(extracted[0])
+        assert _bucket_of_urls(extracted[0], n) == touched
+        carried = _carried(snaps, TS14_ZERO, self.CKPTS[0])
+        assert {name for name, same in carried.items() if not same} == {
+            f"bucket={b:05d}/part.parquet" for b in touched
+        }
+
+        writes.clear(), reads.clear(), extracted.clear()
+        m2 = runs.run_sync_pages(path, sink, checkpoint=self.CKPTS[1], snapshot_root=snaps, cfg=CFG)
+        assert (m2.quad_count, m2.file_count) == (0, 0)
+        assert writes == reads == extracted == []
+        assert set(_carried(snaps, self.CKPTS[0], self.CKPTS[1]).values()) == {True}
+
+    def test_removed_page_emits_only_deletes(self, tmp_path, small_pages):
+        import pyarrow.compute as pc
+
+        pages = small_pages
+        gone = pages["url"][7].as_py()
+        kept = pages.filter(pc.not_equal(pages["url"], gone))
+        sink, snaps, mans = self._runs(tmp_path, [pages, kept])
+        assert mans[1].quad_count > 0
+        assert set(self._ops(sink, self.CKPTS[0])) == {"-"}
+        self._assert_full_diff(tmp_path, sink, pages, kept, self.CKPTS[0])
+        n = load_manifest(os.path.join(snaps, "at-" + TS14_ZERO)).n_buckets
+        (bucket,) = _bucket_of_urls([gone], n)
+        carried = _carried(snaps, TS14_ZERO, self.CKPTS[0])
+        assert {name for name, same in carried.items() if not same} <= {
+            f"bucket={bucket:05d}/part.parquet"
+        }
+
+    def test_lang_only_edit_is_published(self, tmp_path, small_pages):
+        pages = small_pages
+        url = pages["url"][3].as_py()
+        relang = _set(pages, [url], "lang", lambda p: pa.array(["xx"] * len(p)))
+        sink, _, mans = self._runs(tmp_path, [pages, relang])
+        assert mans[1].quad_count == 2  # the old lang quad out, the new one in
+        self._assert_full_diff(tmp_path, sink, pages, relang, self.CKPTS[0])
+
+    def test_url_held_twice_then_once_then_gone(self, tmp_path, small_pages):
+        """Bag semantics: a duplicated row counts twice in its bucket's
+        digest, so dropping one copy rewrites the shard and the later
+        removal retracts exactly the copy left."""
+        import pyarrow.compute as pc
+
+        pages = small_pages
+        url = pages["url"][11].as_py()
+        twice = pa.concat_tables([pages, pages.slice(11, 1)])
+        gone = pages.filter(pc.not_equal(pages["url"], url))
+        sink, snaps, mans = self._runs(tmp_path, [twice, pages, gone])
+        assert mans[1].quad_count == 0 and mans[2].quad_count > 0
+        self._assert_full_diff(tmp_path, sink, twice, pages, self.CKPTS[0])
+        self._assert_full_diff(tmp_path, sink, pages, gone, self.CKPTS[1])
+        assert set(self._ops(sink, self.CKPTS[1])) == {"-"}
+
+    def test_boilerplate_only_html_edit_publishes_nothing(self, tmp_path, small_pages):
+        import pyarrow.compute as pc
+
+        pages = small_pages
+        urls = pages["url"].to_pylist()[::10]
+
+        def renav(p):
+            html = pc.cast(p["html"], pa.string())
+            nav = "<nav>home | about | contact</nav>"
+            return pc.replace_substring(html, nav, "<nav>home</nav>")
+
+        edited = _set(pages, urls, "html", renav)
+        assert not edited["html"].equals(pages["html"])
+        sink, snaps, mans = self._runs(tmp_path, [pages, edited])
+        assert (mans[1].quad_count, mans[1].file_count) == (0, 0)
+        self._assert_full_diff(tmp_path, sink, pages, edited, self.CKPTS[0])
+        assert set(_carried(snaps, TS14_ZERO, self.CKPTS[0]).values()) == {True}
+
+    @pytest.mark.parametrize("change", ["fingerprint", "excluded_graphs"])
+    def test_extraction_change_rebuilds_every_bucket(
+        self, tmp_path, monkeypatch, change, small_pages
+    ):
+        """A changed extractor (its fingerprint moves with it) or a changed
+        excluded-graphs filter touches every bucket, so the unchanged crawl
+        publishes the full diff of the old extraction against the new."""
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        from virtuoso_quad_log_ray.pipelines import kg
+        from virtuoso_quad_log_ray.pipelines.kg import pages_to_quads
+
+        pages = small_pages
+        sink, snaps, _ = self._runs(tmp_path, [pages])
+        old = pages_to_quads(pages, CFG)
+        cfg = CFG
+        if change == "fingerprint":
+            real = kg.extract_triples_batch
+
+            def no_token_counts(texts):
+                q = real(texts)
+                return q.filter(pc.invert(pc.match_substring(q["p"], "tokenCount")))
+
+            monkeypatch.setattr(kg, "extract_triples_batch", no_token_counts)
+            monkeypatch.setattr(kg, "source_fingerprint", lambda cfg: "another extractor")
+        else:
+            cfg = EngineConfig(max_quads_per_file=5000, excluded_graphs=(pages["url"][5].as_py(),))
+        path = str(tmp_path / "pages.parquet")
+        pq.write_table(pages, path)
+        m = runs.run_sync_pages(path, sink, checkpoint=self.CKPTS[0], snapshot_root=snaps, cfg=cfg)
+        assert m.quad_count > 0 and set(self._ops(sink, self.CKPTS[0])) == {"-"}
+        ref = str(tmp_path / "ref")
+        _reference_sink(ref, self.CKPTS[0], old, pages_to_quads(pages, cfg))
+        assert _published_at(sink, self.CKPTS[0]) == _published_at(ref, self.CKPTS[0])
+        assert set(_carried(snaps, TS14_ZERO, self.CKPTS[0]).values()) == {False}
+
+    def test_digests_cover_each_column_every_copy_and_nulls(self):
+        """One bucket, so every row lands in the same digest: it changes
+        with any column, with a null against an empty string, with the
+        copy count of a row, and two rows held twice do not cancel as a
+        XOR would. Null rows digest the same every time, on a Dataset's
+        worker processes too."""
+        import ray.data
+
+        from virtuoso_quad_log_ray.pipelines.kg import bucket_digests
+
+        base = pa.table(
+            {"url": ["u1", "u2", None], "text": ["a b", None, "c"], "lang": [None, "en", "de"]}
+        )
+
+        def digest(t):
+            return bucket_digests(t, 1, CFG)[0]
+
+        def row(url, text, lang):
+            return pa.table({"url": [url], "text": [text], "lang": [lang]}, schema=base.schema)
+
+        d = digest(base)
+        assert d == digest(base) == bucket_digests(ray.data.from_arrow(base), 1, CFG)[0]
+        variants = [
+            base.slice(0, 2),
+            pa.concat_tables([base, base.slice(0, 1)]),  # a row twice
+            pa.concat_tables([base.slice(1), row("u1", "a b", "")]),  # null -> ""
+            pa.concat_tables([base.slice(1), row("u1", "a b", "xx")]),  # lang only
+            pa.concat_tables([base.slice(1), row("u1", "a c", None)]),  # text only
+            pa.concat_tables([base.slice(0, 2), row("", "c", "de")]),  # null url -> ""
+            pa.concat_tables([base.slice(0, 1), row("u2", "en", None), base.slice(2)]),  # swap
+            # two rows held twice: a XOR would cancel both and equal base
+            pa.concat_tables([base, row("x", "t", "l"), row("x", "t", "l")]),
+            pa.concat_tables([base, row("y", "t", "l"), row("y", "t", "l")]),
+        ]
+        digests = [digest(v) for v in variants]
+        assert len(set(digests + [d])) == len(variants) + 1
+
+    def test_digest_partials_match_a_python_integer_loop(self):
+        """The vectorized uint64 sums wrap as Python integers reduced
+        mod 2**64 do, bucket by bucket."""
+        from virtuoso_quad_log_ray.numerics import hash128
+        from virtuoso_quad_log_ray.pipelines.kg import TEXT_COLS, _ROW_MULS, digest_partials
+        from virtuoso_quad_log_ray.stages.shuffle import _bucket_of
+
+        n = 8
+        t = pa.table(
+            {
+                "url": [f"https://example.org/s/{i}" for i in range(200)] + [None],
+                "text": [f"t {i % 7}" for i in range(200)] + ["x"],
+                "lang": [None if i % 5 == 0 else "en" for i in range(201)],
+            }
+        )
+        words = [[int(w) % 2**64 for w in h] for c in TEXT_COLS for h in hash128(t[c])]
+        muls = [int(m) for m in _ROW_MULS.reshape(-1)]
+        want = {}
+        for i, b in enumerate(_bucket_of(t["url"], n).to_pylist()):
+            s1 = sum(words[2 * c][i] * muls[2 * c] for c in range(3))
+            s2 = sum(words[2 * c + 1][i] * muls[2 * c + 1] for c in range(3))
+            a1, a2, k = want.get(b, (0, 0, 0))
+            want[b] = ((a1 + s1) % 2**64, (a2 + s2) % 2**64, k + 1)
+        got = digest_partials(t, n).to_pylist()
+        assert {r["bucket"]: (r["s1"], r["s2"], r["n"]) for r in got} == want
+
+
 def _crawl_rounds():
     """A small crawl and its next two crawls: round 1 edits one page's
     text and removes every page of one bucket (so that bucket empties and
@@ -825,6 +1150,108 @@ class TestExecutors:
             published[name] = files
         assert published["crashed"] == published["clean"] and published["clean"]
         assert _sink_state(*sides["crashed"]) == _sink_state(*sides["clean"])
+
+
+    def test_pages_runs_publish_identical_bytes_on_both_executors(self, tmp_path, monkeypatch):
+        """The page-delta pass on a Ray Data read (digest partials per
+        block, folded in the calling process) commits what the in-process
+        pass commits, source digests included."""
+        import pyarrow.parquet as pq
+
+        def lineage(name):
+            path = str(tmp_path / name / "pages.parquet")
+            sink, snaps = str(tmp_path / name / "sink"), str(tmp_path / name / "snaps")
+            os.makedirs(os.path.dirname(path))
+            states = []
+            for k, pages in enumerate(_crawl_rounds()):
+                pq.write_table(pages, path)
+                if k == 0:
+                    runs.run_dump_pages(path, sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+                else:
+                    runs.run_sync_pages(
+                        path, sink, checkpoint=self.CKPTS[k - 1], snapshot_root=snaps, cfg=CFG
+                    )
+                snap = os.path.join(snaps, runs.current_snapshot(snaps))
+                digests = [(e.name, e.md5) for e in load_manifest(snap).files]
+                states.append((_sink_state(sink, snaps), digests))
+            return states
+
+        table = lineage("table")
+        monkeypatch.setattr(runs, "IN_PROCESS_BYTES", 0)
+        dataset = lineage("ray")
+        assert table == dataset
+        assert table[0][1] and all(len(d) == 32 for _, d in table[0][1])
+        assert table[1][0]["totals"][2] > 0 and table[2][0]["totals"][2] == 0
+
+    @pytest.mark.parametrize("retry", ["same", "reverted"])
+    def test_crash_after_links_and_shard_writes_leaves_the_prior_state(
+        self, tmp_path, monkeypatch, retry, small_pages
+    ):
+        """A page-delta sync that crashes after it linked the untouched
+        shards and wrote some touched ones into ``at-<ckpt>`` makes nothing
+        visible; its retry meets those files and publishes the bytes of a
+        sync that never crashed. ``reverted``: the crawl went back to the
+        prior one before the retry, so the retry links every shard,
+        over the ones the crashed attempt wrote too."""
+        import pyarrow.parquet as pq
+
+        from virtuoso_quad_log_ray.pipelines import publish
+
+        pages = small_pages
+        edited = _edit_text(pages, pages["url"].to_pylist()[::40])
+        sides = {}
+        for name in ("clean", "crashed"):
+            path = str(tmp_path / name / "pages.parquet")
+            sink, snaps = str(tmp_path / name / "sink"), str(tmp_path / name / "snaps")
+            os.makedirs(os.path.dirname(path))
+            pq.write_table(pages, path)
+            runs.run_dump_pages(path, sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+            pq.write_table(edited, path)
+            sides[name] = path, sink, snaps
+        path, sink, snaps = sides["crashed"]
+        before = _sink_state(sink, snaps)
+        calls = {"n": 0}
+        real = publish.write_patch_files
+
+        def crashing(*a, **k):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise RuntimeError("simulated crash at the third touched bucket")
+            return real(*a, **k)
+
+        monkeypatch.setattr(publish, "write_patch_files", crashing)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            runs.run_sync_pages(path, sink, checkpoint=self.CKPTS[0], snapshot_root=snaps, cfg=CFG)
+        monkeypatch.undo()
+        assert _sink_state(sink, snaps) == before  # cursor, epoch, SNAPSHOT and manifest
+        assert runs.current_snapshot(snaps) == "at-" + TS14_ZERO
+        prior, left = (os.path.join(snaps, f"at-{c}") for c in (TS14_ZERO, self.CKPTS[0]))
+        shards = [e.name for e in load_manifest(prior).files]
+        linked = [n for n in shards if os.path.exists(os.path.join(left, n))
+                  and os.path.samefile(os.path.join(prior, n), os.path.join(left, n))]
+        written = [n for n in shards if os.path.exists(os.path.join(left, n)) and n not in linked]
+        assert linked and len(written) >= 2 and load_manifest(left) is None
+
+        published = {}
+        for name, (path, sink, snaps) in sides.items():
+            if retry == "reverted":
+                pq.write_table(pages, path)
+            runs.run_sync_pages(path, sink, checkpoint=self.CKPTS[0], snapshot_root=snaps, cfg=CFG)
+            files = {}
+            for e in load_manifest(sink).files:
+                if self.CKPTS[0] in e.name:
+                    with open(os.path.join(sink, e.name), "rb") as f:
+                        files[e.name] = (e.md5, f.read())
+            snap = os.path.join(snaps, runs.current_snapshot(snaps))
+            published[name] = files, [(e.name, e.md5) for e in load_manifest(snap).files]
+        assert published["crashed"] == published["clean"]
+        assert bool(published["clean"][0]) == (retry == "same")
+        assert _sink_state(*sides["crashed"][1:]) == _sink_state(*sides["clean"][1:])
+        if retry == "reverted":
+            assert set(_carried(snaps, TS14_ZERO, self.CKPTS[0]).values()) == {True}
+        # the prior snapshot's shards were never written through a link
+        for n in shards:
+            assert pq.read_table(os.path.join(prior, n)).num_rows > 0
 
 
 ONE_CPU_SCRIPT = """

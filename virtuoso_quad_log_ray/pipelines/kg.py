@@ -93,21 +93,157 @@ def sql_with_pages(body: str, extra_cte: str = "") -> str:
 # ---------------------------------------------------------------------------
 
 
-def pages_to_quads(
+TEXT_COLS = ["url", "text", "lang"]  # what TripleExtractor reads of a page
+
+
+def page_texts(
     pages: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG, *, from_html: bool = True
 ) -> pa.Table:
-    """One pages table (url, warc_ts, [html,] text, lang) -> its (s, p, o,
-    g) quads: text extraction (``from_html``), then ``TripleExtractor``,
-    then the F1 excluded-graphs filter (dump_nquads.sql:44-49, a tiny
-    IN-list evaluated vectorized). :func:`quads_from_pages` maps it over
-    blocks; ``runs`` calls it in-process on a small crawl."""
+    """One pages table (url, warc_ts, [html,] text, lang) -> its
+    :data:`TEXT_COLS`, text extraction first when ``from_html``."""
     if from_html:
         pages = extract_text_batch(pages, extractor=resolve_extractor(cfg.extractor))
-    quads = extract_triples_batch(pages)
+    return pages.select(TEXT_COLS)
+
+
+def texts_to_quads(texts: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Table:
+    """(url, text, lang) rows -> their (s, p, o, g) quads: ``TripleExtractor``,
+    then the F1 excluded-graphs filter (dump_nquads.sql:44-49, a tiny
+    IN-list evaluated vectorized)."""
+    quads = extract_triples_batch(texts)
     if cfg.excluded_graphs:
         excluded = pa.array(list(cfg.excluded_graphs), type=pa.string())
         quads = quads.filter(pc.invert(pc.is_in(quads["g"], value_set=excluded)))
     return quads
+
+
+def pages_to_quads(
+    pages: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG, *, from_html: bool = True
+) -> pa.Table:
+    """One pages table -> its quads: :func:`page_texts`, then
+    :func:`texts_to_quads`. :func:`quads_from_pages` maps it over blocks."""
+    return texts_to_quads(page_texts(pages, cfg, from_html=from_html), cfg)
+
+
+# ---------------------------------------------------------------------------
+# Per-bucket source digests: the page-delta gate of the pages runs
+# (pipelines/runs.py). With g = url, bucket ``hash(url) % n`` of the quads
+# is a function of the (url, text, lang) rows hashed to it, so a bucket
+# whose rows are unchanged since the prior snapshot keeps its shard.
+# ---------------------------------------------------------------------------
+
+# one odd multiplier per (column, word): a row's two words weigh its
+# columns' hash128 words differently, so swapping values between columns
+# changes the row hash
+_ROW_MULS = np.array(
+    [
+        [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F],
+        [0x165667B19E3779F9, 0xD6E8FEB86659FD93],
+        [0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53],
+    ],
+    dtype=np.uint64,
+)
+DIGEST_SCHEMA = pa.schema(
+    [("bucket", pa.int64()), ("s1", pa.uint64()), ("s2", pa.uint64()), ("n", pa.uint64())]
+)
+
+
+def source_fingerprint(cfg: EngineConfig = DEFAULT_CONFIG) -> str:
+    """What, besides a bucket's (url, text, lang) rows, decides its quads:
+    the triple extractor's code, the excluded graphs, the hash that keys
+    buckets and the Arrow version. Every digest is salted with it, so a
+    change to any of them moves every digest and rebuilds every shard."""
+    import hashlib
+    import importlib
+    import json
+
+    from virtuoso_quad_log_ray.numerics import hash_fingerprint
+
+    module = importlib.import_module("virtuoso_quad_log_ray.stages.extract_triples")
+    with open(module.__file__, "rb") as f:
+        code = hashlib.md5(f.read()).hexdigest()
+    return json.dumps([code, sorted(cfg.excluded_graphs), hash_fingerprint(), pa.__version__])
+
+
+def _bucket_sums(bucket: np.ndarray, words: np.ndarray, n_buckets: int) -> pa.Table:
+    """Wrapping uint64 sums of ``words`` (rows x (s1, s2, n)) per bucket,
+    one :data:`DIGEST_SCHEMA` row per bucket with n > 0."""
+    sums = np.zeros((n_buckets, 3), dtype=np.uint64)
+    np.add.at(sums, bucket, words)
+    held = np.flatnonzero(sums[:, 2])
+    cols = [pa.array(held.astype(np.int64))] + [pa.array(sums[held, i]) for i in range(3)]
+    return pa.Table.from_arrays(cols, schema=DIGEST_SCHEMA)
+
+
+def digest_partials(texts: pa.Table, n_buckets: int) -> pa.Table:
+    """(bucket, s1, s2, n) partial sums of one block of (url, text, lang)
+    rows. A row hashes to two uint64 words, the multiplier-weighted sums
+    of its columns' ``hash128`` words (nulls hash to their own value), and
+    a bucket sums its rows' words: a sum, not a XOR, so a duplicated row
+    counts twice as ``changelog.diff_bucket``'s bag semantics need, and
+    the fold over blocks is associative (:func:`bucket_digests`)."""
+    from virtuoso_quad_log_ray.numerics import hash128
+    from virtuoso_quad_log_ray.stages.shuffle import _bucket_of
+
+    words = np.zeros((len(texts), 3), dtype=np.uint64)
+    words[:, 2] = 1
+    for col, muls in zip(TEXT_COLS, _ROW_MULS):
+        for i, h in enumerate(hash128(texts[col])):
+            words[:, i] += h.view(np.uint64) * muls[i]
+    return _bucket_sums(_bucket_of(texts["url"], n_buckets).to_numpy(), words, n_buckets)
+
+
+def bucket_digests(
+    texts: ray.data.Dataset | pa.Table, n_buckets: int, cfg: EngineConfig = DEFAULT_CONFIG
+) -> dict[int, str]:
+    """{bucket: source digest} of every bucket that holds a (url, text,
+    lang) row: the md5 of :func:`source_fingerprint` and the bucket's
+    (s1, s2, n) sums. A Dataset's blocks each emit their
+    :func:`digest_partials` and the calling process folds them, so no
+    exchange runs."""
+    import hashlib
+
+    from virtuoso_quad_log_ray.stages.shuffle import blocks_of
+
+    if isinstance(texts, pa.Table):
+        partials = [digest_partials(texts, n_buckets)]
+    else:
+        partials = blocks_of(
+            texts.map_batches(
+                lambda b: digest_partials(b, n_buckets),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            )
+        )
+    parts = pa.concat_tables([DIGEST_SCHEMA.empty_table(), *partials])
+    words = np.column_stack([parts[c].to_numpy() for c in ("s1", "s2", "n")])
+    salt = source_fingerprint(cfg)
+    return {
+        r["bucket"]: hashlib.md5(f"{salt}|{r['s1']}|{r['s2']}|{r['n']}".encode()).hexdigest()
+        for r in _bucket_sums(parts["bucket"].to_numpy(), words, n_buckets).to_pylist()
+    }
+
+
+def touched_quads(
+    texts: ray.data.Dataset | pa.Table,
+    n_buckets: int,
+    touched,
+    cfg: EngineConfig = DEFAULT_CONFIG,
+) -> ray.data.Dataset | pa.Table:
+    """The quads of the (url, text, lang) rows whose bucket is in
+    ``touched``: one vectorized :func:`texts_to_quads` per block (the
+    whole table in-process), never one per bucket."""
+    from virtuoso_quad_log_ray.stages.shuffle import _bucket_of
+
+    wanted = pa.array(sorted(touched), type=pa.int64())
+
+    def extract(b: pa.Table) -> pa.Table:
+        keep = pc.is_in(_bucket_of(b["url"], n_buckets), value_set=wanted)
+        return texts_to_quads(b.filter(keep), cfg)
+
+    if isinstance(texts, pa.Table):
+        return extract(texts)
+    return texts.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def quads_from_pages(

@@ -173,7 +173,11 @@ def materialize_quads(
 
 
 def bucket_rel(bucket: int) -> str:
-    """Path of bucket ``bucket``'s shard, relative to the snapshot dir."""
+    """Path of bucket ``bucket``'s shard, relative to the snapshot dir. Its
+    manifest entry's ``md5`` is not a file checksum: a pages run stores
+    the shard's source digest there (``kg.bucket_digests``), the key that
+    lets the next pages run carry the shard forward unread; every other
+    writer stores ""."""
     return f"bucket={bucket:05d}/part.parquet"
 
 
@@ -184,7 +188,9 @@ def bucket_id(rel: str) -> int:
 
 def write_snapshot_bucket(quads: pa.Table, path: str) -> pa.Table:
     """Sort one bucket's quads by (g, s, p, o) and write them atomically to
-    ``path``; returns the sorted (s, p, o, g) table as written."""
+    ``path``; returns the sorted (s, p, o, g) table as written. A stale
+    ``.part`` is removed first, never written through: a crashed sync may
+    have left it as a hard link to a prior snapshot's shard."""
     import pyarrow.parquet as pq
 
     order = pc.sort_indices(
@@ -194,6 +200,8 @@ def write_snapshot_bucket(quads: pa.Table, path: str) -> pa.Table:
     t = quads.take(order).select(["s", "p", "o", "g"])
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".part"
+    if os.path.lexists(tmp):
+        os.remove(tmp)
     pq.write_table(t, tmp)
     os.replace(tmp, path)
     return t

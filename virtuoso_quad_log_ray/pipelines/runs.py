@@ -5,8 +5,9 @@ generate-rdfpatch.sh:407-427) runs one initial full dump, gated by a dump
 marker (:277-297), then repeated incremental syncs, each gated by a
 checkpoint cursor (:348-351). Here a dump is the first sync: the diff of
 the empty state against the first crawl. :func:`_run` is the one body of
-both, and each call is one bounded run: one Dataset execution (the ``ray
-job submit`` unit), or on a small input one pass in the calling process
+both, and each call is one bounded run (the ``ray job submit`` unit): on
+Ray one bucket pass, after the page runs' materialized text read and
+digest partials, or on a small input one pass in the calling process
 (see below). A dump is the call that passes an ``epoch``: every quad
 is a '+' record at checkpoint 00000000000000 (generate-rdfpatch.sh:
 210-217) and the epoch is signed (T2). A sync publishes the +/- changelog
@@ -40,6 +41,20 @@ the table when the pages Parquet is smaller than
 :data:`IN_PROCESS_BYTES`, the size below which Ray's fixed cost per run
 outweighs the work; both executors publish the same bytes.
 
+Page delta. The pages runs (``run_dump_pages``/``run_sync_pages``, and
+``run_dump``/``run_sync`` over the sandbox crawl) hand the pass the
+(url, text, lang) rows the triple extractor reads, not quads. With
+g = url a bucket's quads are a function of its rows, so the pass first
+takes each bucket's source digest (``kg.bucket_digests``) and stores it
+in the shard's manifest entry. A bucket whose digest equals the prior
+shard's is carried forward: its shard is hard-linked into the new
+snapshot dir, unread. Only the other buckets' rows are extracted, and
+only their prior shards are read, diffed and rewritten, so a sync works
+in proportion to the change, as the reference's tail of Virtuoso's
+transaction log does (parse_trx_logs.sql). Every snapshot dir stays
+self-contained. Quad runs (``run_*_quads``), re-keyed snapshots and a
+changed extractor or filter (the digests' salt) touch every bucket.
+
 State layout under ``out_root`` (all via state/manifest + state/checkpoint):
   MANIFEST + manifest-*.json   committed files + counters (A1/A3)
   cursor.ts14                  last fully-processed input watermark
@@ -57,7 +72,7 @@ import pyarrow as pa
 import ray.data
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
-from virtuoso_quad_log_ray.pipelines.changelog import quads_version, with_op
+from virtuoso_quad_log_ray.pipelines.changelog import with_op
 from virtuoso_quad_log_ray.pipelines.publish import commit_patch_run, wall_clock
 from virtuoso_quad_log_ray.rdfpatch import TS14_ZERO
 from virtuoso_quad_log_ray.state import checkpoint as ckpt
@@ -163,8 +178,30 @@ def write_snapshot(root: str, quads: ray.data.Dataset, *, checkpoint: str, epoch
 # ---------------------------------------------------------------------------
 
 
+def _carry_shard(src: str, dst: str) -> None:
+    """Make ``dst`` the prior snapshot's unchanged shard ``src``: a hard
+    link, or a copy where the file system has none. The link goes through
+    ``dst.part`` + rename, so a retry meets whatever a crashed attempt left
+    there (a bare link raises on an existing name). A ``dst`` that already
+    is ``src`` stays: renaming a link onto its own file is a no-op that
+    would leave the ``.part`` behind."""
+    import shutil
+
+    if os.path.exists(dst) and os.path.samefile(src, dst):
+        return
+    os.makedirs(os.path.dirname(dst), exist_ok=True)
+    part = dst + ".part"
+    if os.path.lexists(part):
+        os.remove(part)
+    try:
+        os.link(src, part)
+    except OSError:
+        shutil.copyfile(src, part)
+    os.replace(part, dst)
+
+
 def _bucket_pass(
-    new_quads: ray.data.Dataset | pa.Table,
+    new: ray.data.Dataset | pa.Table,
     snap_dir: str,
     out_root: str,
     *,
@@ -173,6 +210,7 @@ def _bucket_pass(
     cfg: EngineConfig,
     t_run0: float,
     prev: tuple[str, RunManifest] | None = None,
+    texts: bool = False,
 ) -> list[FileEntry]:
     """One bucket pass: new quads keyed by ``hash(g) % n_buckets`` -> per
     bucket the sorted snapshot shard under ``snap_dir`` and the patch files
@@ -184,13 +222,22 @@ def _bucket_pass(
     shards MUST be keyed by the same hash — the caller re-keys them first
     (:func:`_aligned_snapshot`) — and whose ``n_buckets`` the new one keeps.
 
-    A bucket that held prior quads but receives no new ones still needs a
-    task to emit its '-' records: every prior bucket id is passed to
-    ``by_bucket`` as ``also``.
+    ``texts`` True: ``new`` holds (url, text, lang) page rows, not quads
+    (the page-delta pass). Each bucket's source digest
+    (``kg.bucket_digests``) is stored in its shard's ``FileEntry.md5``; a
+    prior shard whose stored digest equals the new one is hard-linked
+    into ``snap_dir`` with its entry, and only the rows of the other
+    buckets are extracted (``kg.touched_quads``) and passed. A quad run
+    stores "" and so touches every bucket.
+
+    A touched bucket that held prior quads but receives no new ones still
+    needs a task to emit its '-' records: every touched prior bucket id is
+    passed to ``by_bucket`` as ``also``.
     """
     import pyarrow.parquet as pq
 
     from virtuoso_quad_log_ray.pipelines.changelog import QUAD_COLS, diff_bucket
+    from virtuoso_quad_log_ray.pipelines.kg import bucket_digests, touched_quads
     from virtuoso_quad_log_ray.pipelines.materialize import (
         bucket_id,
         bucket_rel,
@@ -206,17 +253,23 @@ def _bucket_pass(
     maxq = cfg.max_quads_per_file
     prev_dir, prev_man = prev or (None, None)
     n_buckets = prev_man.n_buckets if prev_man else default_n_buckets()
-    prev_set = {bucket_id(e.name) for e in prev_man.files} if prev_man else set()
+    prior = {bucket_id(e.name): e for e in prev_man.files} if prev_man else {}
+    digests = bucket_digests(new, n_buckets, cfg) if texts else {}
+    kept = {b: e for b, e in prior.items() if digests.get(b) == e.md5}
+    touched = (digests.keys() | prior.keys()) - kept.keys()
+    also = prior.keys() - kept.keys()
     os.makedirs(snap_dir, exist_ok=True)
     os.makedirs(out_root, exist_ok=True)
+    for e in kept.values():
+        _carry_shard(os.path.join(prev_dir, e.name), os.path.join(snap_dir, e.name))
 
     def sync_bucket(bucket: int, new: pa.Table) -> pa.Table:
         rel = bucket_rel(bucket)
         shards = []
         if len(new):
             new = write_snapshot_bucket(new, os.path.join(snap_dir, rel))
-            shards.append(FileEntry(rel, "", len(new), "", 0))
-        if bucket in prev_set:
+            shards.append(FileEntry(rel, "", len(new), digests.get(bucket, ""), 0))
+        if bucket in also:
             old = pq.read_table(os.path.join(prev_dir, rel), columns=QUAD_COLS)
             log = diff_bucket(old.cast(QUADS_SCHEMA), new)
         else:
@@ -225,9 +278,13 @@ def _bucket_pass(
         flags = pa.array([True] * len(shards) + [False] * len(patches))
         return entries_table(shards + patches).append_column("shard", flags)
 
-    meta = by_bucket(new_quads, "g", n_buckets, sync_bucket, schema=QUADS_SCHEMA, also=prev_set)
-    meta = meta.to_pylist() if isinstance(meta, pa.Table) else meta.take_all()
-    shards = [entry_of(r) for r in meta if r["shard"]]
+    if texts and not touched:
+        meta = []
+    else:
+        quads = touched_quads(new, n_buckets, touched, cfg) if texts else new
+        meta = by_bucket(quads, "g", n_buckets, sync_bucket, schema=QUADS_SCHEMA, also=also)
+        meta = meta.to_pylist() if isinstance(meta, pa.Table) else meta.take_all()
+    shards = [entry_of(r) for r in meta if r["shard"]] + list(kept.values())
     commit_materialized(
         snap_dir, shards, kind="materialize", epoch=epoch, n_buckets=n_buckets, t_run0=t_run0
     )
@@ -291,7 +348,7 @@ def _repair(out_root: str, snapshot_root: str) -> tuple[RunManifest | None, bool
 
 
 def _run(
-    new_quads: ray.data.Dataset | pa.Table,
+    new: ray.data.Dataset | pa.Table,
     out_root: str,
     *,
     checkpoint: str,
@@ -299,10 +356,12 @@ def _run(
     snapshot_root: str | None,
     last_source: str,
     epoch: str | None = None,
+    texts: bool = False,
 ) -> RunManifest:
     """One run — a dump when ``epoch`` is given, else a sync — gated and
     committed as the module docstring describes. ``snapshot_root`` None
-    is the sink-owned ``<out_root>/snapshots``.
+    is the sink-owned ``<out_root>/snapshots``. ``new`` holds quads, or
+    (url, text, lang) page rows when ``texts`` (see :func:`_bucket_pass`).
 
     After :func:`_repair`: a dump on a sink with any committed manifest
     returns it and writes nothing. A sync needs a committed manifest and a
@@ -340,7 +399,7 @@ def _run(
     )
     t_run0, started = time.perf_counter(), wall_clock()
     patches = _bucket_pass(
-        new_quads,
+        new,
         _snapshot_dir(snapshot_root, checkpoint),
         out_root,
         checkpoint=checkpoint,
@@ -348,6 +407,7 @@ def _run(
         cfg=cfg,
         t_run0=t_run0,
         prev=prev_snap,
+        texts=texts,
     )
     manifest = commit_patch_run(out_root, patches, t_run0=t_run0, started=started, **run)
     if dump:
@@ -380,13 +440,14 @@ def run_dump(
     validate_input(sf_dir)
     probe = snapshot_probe(sf_dir)
     manifest = _run(
-        quads_version(sf_dir, version, cfg),
+        _version_texts(sf_dir, version, cfg),
         out_root,
         checkpoint=TS14_ZERO,
         cfg=cfg,
         snapshot_root=snapshot_root,
         last_source=f"{sf_dir}#v{version}",
         epoch=epoch,
+        texts=True,
     )
     # T6 write-quiescence assertion: immutable Parquet makes serializable
     # fencing free, but assert the input really was unchanged during the run
@@ -411,7 +472,8 @@ def run_sync(
     generate-rdfpatch.sh:348-351). The PREV side is the stored snapshot
     under ``snapshot_root`` (default ``<out_root>/snapshots``; the prior
     crawl is never recomputed), and the new state is checkpointed in the
-    same bucket pass as the diff.
+    same bucket pass as the diff. Only the buckets whose source digest
+    moved are extracted and diffed (page delta, see the module docstring).
 
     Crash-window semantics (commit order: snapshot manifest -> patch
     manifest -> cursor -> SNAPSHOT pointer):
@@ -430,21 +492,23 @@ def run_sync(
 
     validate_input(sf_dir)
     return _run(
-        quads_version(sf_dir, new_version, cfg),
+        _version_texts(sf_dir, new_version, cfg),
         out_root,
         checkpoint=checkpoint,
         cfg=cfg,
         snapshot_root=snapshot_root,
         last_source=f"{sf_dir}#v{new_version}",
+        texts=True,
     )
 
 
 # ---------------------------------------------------------------------------
-# Production loop over a REAL pages table (input_hint schema): the dump
-# checkpoints the canonical quad set; every sync re-extracts the CURRENT
-# table and diffs it against the stored snapshot. These are the
-# quad-set-generic forms of run_dump/run_sync (which read the sandbox's
-# deterministic v1/v2 snapshot pair).
+# Quad-set runs: the dump and sync of an arbitrary quad set. They carry no
+# source digest, so every bucket is extracted, diffed and rewritten.
+# Production loop over a REAL pages table (input_hint schema), below: the
+# dump checkpoints the canonical quad set and each bucket's source digest;
+# every sync reads the CURRENT table, digests it, and extracts and diffs
+# only the buckets whose digest moved against the stored snapshot.
 # ---------------------------------------------------------------------------
 
 
@@ -495,9 +559,11 @@ def run_sync_quads(
 # Pages Parquet bytes below which a run reads, extracts and runs its bucket
 # pass in the calling process: the in-process rate times the Ray path's
 # fixed cost per run, so below it no core count lets the Ray path win.
-# Measured on a 1-vCPU host with Ray at num_cpus=4: a 1000-page sync
-# (381,421 B) takes 0.291 s in-process (1.31 MB/s), and a 10-page sync
-# takes 0.614 s on the Ray path; 1.31 MB/s x 0.614 s = 0.80 MB.
+# Measured on a 1-vCPU host with Ray at num_cpus=4: a 1000-page dump
+# (381,421 B; every bucket extracted and written) takes 0.17-0.29 s
+# in-process, 1.31 MB/s at the slow end, and a 10-page sync takes 0.614 s
+# on the Ray path; 1.31 MB/s x 0.614 s = 0.80 MB. The dump's rate is the
+# one to size by: a page-delta sync does less work than a dump.
 IN_PROCESS_BYTES = 800_000
 
 
@@ -515,18 +581,39 @@ def runs_in_process(pages_path: str) -> bool:
     return nbytes < IN_PROCESS_BYTES
 
 
-def _pages_quads(pages_path: str, cfg: EngineConfig) -> ray.data.Dataset | pa.Table:
-    """The quads of a pages Parquet input: ``kg.pages_to_quads`` on one
-    pyarrow read below the crossover, else mapped over the blocks of a
-    Ray Data read. Either feeds the same bucket pass."""
-    from virtuoso_quad_log_ray.pipelines.kg import pages_to_quads, quads_from_pages
+def _texts(pages: ray.data.Dataset, cfg: EngineConfig, *, from_html: bool) -> ray.data.Dataset:
+    """(url, text, lang) of every block of ``pages``, materialized once:
+    the bucket pass reads it twice, for its digests and its touched rows."""
+    from virtuoso_quad_log_ray.pipelines.kg import page_texts
+
+    return pages.map_batches(
+        lambda b: page_texts(b, cfg, from_html=from_html),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=cfg.pages_batch_size,
+    ).materialize()
+
+
+def _page_texts(pages_path: str, cfg: EngineConfig) -> ray.data.Dataset | pa.Table:
+    """The (url, text, lang) rows of a pages Parquet input: ``kg.page_texts``
+    on one pyarrow read below the crossover, else over the blocks of a Ray
+    Data read. Either feeds the same bucket pass."""
+    from virtuoso_quad_log_ray.pipelines.kg import page_texts
     from virtuoso_quad_log_ray.sources.pages import PAGES_PARQUET_COLUMNS, read_pages_parquet
 
     if runs_in_process(pages_path):
         import pyarrow.parquet as pq
 
-        return pages_to_quads(pq.read_table(pages_path, columns=PAGES_PARQUET_COLUMNS), cfg)
-    return quads_from_pages(read_pages_parquet(pages_path), cfg)
+        return page_texts(pq.read_table(pages_path, columns=PAGES_PARQUET_COLUMNS), cfg)
+    return _texts(read_pages_parquet(pages_path), cfg, from_html=True)
+
+
+def _version_texts(sf_dir: str, version: int, cfg: EngineConfig) -> ray.data.Dataset:
+    """The (url, text, lang) rows of the sandbox's crawl ``version``
+    (``changelog._pages_version``, already text)."""
+    from virtuoso_quad_log_ray.pipelines.changelog import _pages_version
+
+    return _texts(_pages_version(sf_dir, version), cfg, from_html=False)
 
 
 def run_dump_pages(
@@ -537,14 +624,17 @@ def run_dump_pages(
     cfg: EngineConfig = DEFAULT_CONFIG,
     snapshot_root: str | None = None,
 ) -> RunManifest:
-    """Initial dump over a REAL pages Parquet table (input_hint schema)."""
-    return run_dump_quads(
-        _pages_quads(pages_path, cfg),
+    """Initial dump over a REAL pages Parquet table (input_hint schema);
+    its shards carry the source digests the first sync compares."""
+    return _run(
+        _page_texts(pages_path, cfg),
         out_root,
-        epoch=epoch,
+        checkpoint=TS14_ZERO,
         cfg=cfg,
         snapshot_root=snapshot_root,
         last_source=pages_path,
+        epoch=epoch,
+        texts=True,
     )
 
 
@@ -556,15 +646,18 @@ def run_sync_pages(
     snapshot_root: str | None = None,
     cfg: EngineConfig = DEFAULT_CONFIG,
 ) -> RunManifest:
-    """Incremental sync: re-extract the CURRENT pages table, diff against
-    the stored snapshot, publish the +/- changelog, advance the cursor."""
-    return run_sync_quads(
-        _pages_quads(pages_path, cfg),
+    """Incremental sync of the CURRENT pages table against the stored
+    snapshot: only the buckets whose source digest changed are extracted,
+    diffed and rewritten (the rest are hard-linked forward), then the +/-
+    changelog is published and the cursor advanced."""
+    return _run(
+        _page_texts(pages_path, cfg),
         out_root,
         checkpoint=checkpoint,
-        snapshot_root=snapshot_root,
         cfg=cfg,
+        snapshot_root=snapshot_root,
         last_source=pages_path,
+        texts=True,
     )
 
 
@@ -588,9 +681,10 @@ def run_loop(
     Each iteration is one bounded run (the ``ray job submit`` unit): no
     committed manifest -> initial dump of snapshot v1; otherwise incremental
     sync from the stored snapshot to snapshot ``current_version``
-    (a re-poll with no upstream change diffs vN against vN: zero records,
-    cursor still advances — the reference likewise writes nothing when the
-    trx log has no new quads). ``sleep``/``now`` are injectable for tests;
+    (a re-poll with no upstream change touches no bucket: every shard is
+    linked forward unread, zero records, and the cursor still advances —
+    the reference likewise writes nothing when the trx log has no new
+    quads). ``sleep``/``now`` are injectable for tests;
     checkpoints come from wall-clock ts14 (strictly increasing, enforced by
     run_sync's cursor gate).
     """

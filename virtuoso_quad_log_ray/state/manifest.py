@@ -26,7 +26,10 @@ from dataclasses import dataclass, field
 @dataclass
 class FileEntry:
     """One committed rdfpatch file (ResourceList record analog,
-    synchronizer.py:152-177: uri, md5, length, lastmod)."""
+    synchronizer.py:152-177: uri, md5, length, lastmod), or one snapshot
+    shard. A shard's ``md5`` is no file checksum but its source digest:
+    what a pages run extracted the shard from (``kg.bucket_digests``), or
+    "" where no digest was taken; its ``length`` is 0."""
 
     name: str  # path relative to the sink root, e.g. "<b64(g)>/rdf_out_...-00000000000000"
     graph: str
