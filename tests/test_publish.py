@@ -1165,3 +1165,137 @@ class TestReplayMergeByName:
         assert {(f.name, f.md5) for f in m2.files} == {
             (f.name, f.md5) for f in m1.files
         }
+
+
+def _fresh_render(src, pub, fresh, max_files, base="http://example.org/pub"):
+    """The doc set a from-scratch publish_metadata renders into ``fresh``
+    from ``pub``'s zips and sidecars."""
+    import shutil
+
+    os.makedirs(fresh)
+    for n in os.listdir(pub):
+        if n.endswith(".zip") or n.endswith(".zip.meta.json"):
+            shutil.copy2(os.path.join(pub, n), fresh)
+    return Bundler(src, fresh, max_files=max_files).publish_metadata(base)
+
+
+def _assert_docs_equal(pub, fresh, docs):
+    for rel in docs:
+        with open(os.path.join(pub, rel), "rb") as f, open(os.path.join(fresh, rel), "rb") as g:
+            assert f.read() == g.read(), rel
+
+
+class TestDeltaMetadata:
+    """With a matching stamp, publish_metadata reads, renders and writes
+    a per-graph list or a ChangeList only when its dir or run gained files,
+    its file is missing, or it was modified after the stamp."""
+
+    def test_one_new_file_touches_one_dir_of_a_thousand(self, tmp_path, monkeypatch):
+        import builtins
+
+        from virtuoso_quad_log_ray.pipelines.publish import STAMP
+
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        dirs = [f"d{i:04d}" for i in range(1000)]
+        _commit_runs(src, [(T0, dirs), (TA, ["d0001"])])
+        b = Bundler(src, pub, max_files=250)
+        b.publish()
+        docs = b.publish_metadata()
+        assert os.path.exists(os.path.join(pub, STAMP))
+        m = _commit_runs(src, [(T0, dirs), (TA, ["d0001"]), (TB, ["d0005"])])
+        b.publish()
+        new_file = os.path.join(src, m.files[-1].name)
+
+        real_open, real_mkdir, real_stat = builtins.open, os.mkdir, os.stat
+        reads, mkdirs, stats = [], [], []
+
+        def counting_open(file, mode="r", *a, **k):
+            if not any(c in mode for c in "wax+"):
+                reads.append(os.path.relpath(str(file), pub))
+            return real_open(file, mode, *a, **k)
+
+        def counting_mkdir(path, *a, **k):
+            mkdirs.append(os.path.relpath(str(path), pub))
+            return real_mkdir(path, *a, **k)
+
+        def counting_stat(path, *a, **k):
+            stats.append(str(path))
+            return real_stat(path, *a, **k)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(os, "mkdir", counting_mkdir)
+        after = b.publish_metadata()
+        monkeypatch.setattr(os, "stat", counting_stat)
+        validate_sink(src)
+        monkeypatch.undo()
+
+        cap = os.path.join("d0005", "capability-list.xml")
+        assert set(after) == set(docs) | {f"changelist/{TB}.xml"}
+        fresh = str(tmp_path / "fresh")
+        assert _fresh_render(src, pub, fresh, 250) == after  # the full doc list
+        _assert_docs_equal(pub, fresh, after)
+        lazy = {d for d in after if d.endswith("/capability-list.xml") or d.startswith("changelist/")}
+        top = set(after) - lazy
+        pub_reads = {r for r in reads if not r.startswith("..")}
+        assert pub_reads - top - {STAMP} <= {cap} | {
+            n for n in pub_reads if n.endswith(".zip.meta.json")
+        }
+        assert mkdirs == [".well-known"]  # the source description's dir, once per run
+        with open(os.path.join(pub, cap)) as f:
+            assert m.files[-1].name in f.read()
+        assert [p for p in stats if p.startswith(src + os.sep) and "rdf_out_" in p] == [new_file]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_tampering_always_ends_in_a_from_scratch_render(self, tmp_path, seed):
+        """Between publishes a seeded sequence commits runs and, at
+        random, tampers a doc at the same size, deletes a doc, deletes or
+        edits the stamp, or changes ``base_uri``. After every call every doc
+        equals a from-scratch render."""
+        import json
+        import random
+        import shutil
+
+        from virtuoso_quad_log_ray.pipelines.publish import STAMP
+
+        rng = random.Random(seed)
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        pool = [f"d{i}" for i in range(12)]
+        runs = [(T0, pool[:6])]
+        bases = ["http://example.org/pub", "http://example.org/other"]
+        base, docs = bases[0], []
+        for step in range(30):
+            action = rng.choice(["commit", "commit", "tamper", "delete", "stamp", "base"])
+            if action == "commit" or not docs:
+                ckpt = f"2024{step + 1:02d}01000000"
+                runs.append((ckpt, sorted(rng.sample(pool, rng.randint(1, 3)))))
+                _commit_runs(src, runs)
+            elif action in ("tamper", "delete"):
+                path = os.path.join(pub, rng.choice(docs))
+                if action == "delete":
+                    os.remove(path)
+                else:
+                    with open(path, "rb") as f:
+                        data = bytearray(f.read())
+                    i = rng.randrange(len(data))
+                    data[i] = ord("X") if data[i] != ord("X") else ord("Y")
+                    with open(path, "wb") as f:
+                        f.write(bytes(data))
+            elif action == "stamp":
+                stamp = os.path.join(pub, STAMP)
+                if rng.random() < 0.5:
+                    os.remove(stamp)
+                else:
+                    with open(stamp) as f:
+                        rec = json.load(f)
+                    rec[rng.choice(["count", "last", "code", "epoch"])] = 0
+                    with open(stamp, "w") as f:
+                        json.dump(rec, f)
+            else:
+                base = bases[1] if base == bases[0] else bases[0]
+            b = Bundler(src, pub, max_files=4)
+            b.publish()
+            docs = b.publish_metadata(base)
+            fresh = str(tmp_path / f"fresh{step}")
+            assert _fresh_render(src, pub, fresh, 4, base) == docs, (step, action)
+            _assert_docs_equal(pub, fresh, docs)
+            shutil.rmtree(fresh)

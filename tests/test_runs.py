@@ -1413,3 +1413,68 @@ def test_recompute_paths_finish_at_one_cpu(tmp_path, oracle):
         if step in want:
             got[step] = int(value)
     assert got == want, report
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestPublishedSinks:
+    CKPT = "20250101000000"
+
+    def test_sync_after_move_resources_commits_the_same_patches(self, tmp_path, small_pages):
+        """A ``move_resources`` Bundler removes the sealed files of the dump
+        from the sink; the next sync validates, runs and commits the patch
+        files a sync of an unmoved sink commits."""
+        import pyarrow.parquet as pq
+
+        v1, v2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+        pq.write_table(small_pages, v1)
+        pq.write_table(_edit_text(small_pages, small_pages["url"].to_pylist()[:3]), v2)
+        states = {}
+        for move in (False, True):
+            sink, snaps, pub = (str(tmp_path / f"{n}-{move}") for n in ("sink", "snaps", "pub"))
+            runs.run_dump_pages(v1, sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+            Bundler(sink, pub, max_files=10, move_resources=move).publish()
+            dumped = load_manifest(sink).files
+            gone = [e for e in dumped if not os.path.exists(os.path.join(sink, e.name))]
+            assert len(gone) == (len(dumped) // 10 * 10 if move else 0)  # the sealed chunks
+            runs.run_sync_pages(v2, sink, checkpoint=self.CKPT, snapshot_root=snaps, cfg=CFG)
+            validate_sink(sink)
+            Bundler(sink, pub, max_files=10, move_resources=move).publish()
+            validate_sink(sink, pub)
+            states[move] = _sink_state(sink, snaps)
+        assert states[True] == states[False]
+        assert len(dumped) >= 10 and _published_at(str(tmp_path / "sink-True"), self.CKPT)
+
+    @pytest.mark.parametrize("executor", ["in_process", "ray"])
+    def test_null_lang_drops_only_the_lang_quad(self, tmp_path, monkeypatch, small_pages, executor):
+        """A page with a null ``lang`` dumps without its lang quad, on
+        both executors and in the DuckDB quads CTE; restoring the lang
+        syncs exactly that quad."""
+        import duckdb
+        import pyarrow.parquet as pq
+
+        from virtuoso_quad_log_ray.pipelines.kg import QUADS_SQL_CTE, page_texts, pages_to_quads
+
+        if executor == "ray":
+            monkeypatch.setattr(runs, "IN_PROCESS_BYTES", 0)
+        url = small_pages["url"][0].as_py()
+        nulled = _set(small_pages, [url], "lang", lambda p: pa.nulls(len(p), pa.string()))
+        quads = pages_to_quads(nulled, CFG)
+        pages = page_texts(nulled, CFG)  # noqa: F841 (the CTE's pages table)
+        sql = duckdb.sql(f"WITH {QUADS_SQL_CTE} SELECT s, p, o, g FROM quads").arrow()
+        assert sorted(sql.to_pylist(), key=str) == sorted(quads.to_pylist(), key=str)
+        mine = [q["p"] for q in quads.to_pylist() if q["g"] == url]
+        assert "<http://example.org/vocab#lang>" not in mine and mine
+
+        path = str(tmp_path / "pages.parquet")
+        sink, snaps = str(tmp_path / "sink"), str(tmp_path / "snaps")
+        pq.write_table(nulled, path)
+        dump = runs.run_dump_pages(path, sink, epoch="E1", cfg=CFG, snapshot_root=snaps)
+        assert dump.quad_count == len(quads)
+        pq.write_table(small_pages, path)
+        sync = runs.run_sync_pages(path, sink, checkpoint=self.CKPT, snapshot_root=snaps, cfg=CFG)
+        (name, _), = _published_at(sink, self.CKPT)
+        with open(os.path.join(sink, name)) as f:
+            records = parse_patch_text(f.read())[0]
+        assert sync.quad_count == 1 and [(r["op"], r["p"]) for r in records] == [
+            ("+", "<http://example.org/vocab#lang>")
+        ]

@@ -66,13 +66,14 @@ mentions AS (
 ),
 quads AS (
     SELECT '<' || url || '>' AS s, '<{VOCAB}lang>' AS p,
-           '"' || lang || '"' AS o, url AS g FROM pages
+           '"' || lang || '"' AS o, url AS g FROM pages WHERE lang IS NOT NULL
     UNION ALL
     SELECT '<' || url || '>', '<{VOCAB}source>',
            '"' || regexp_extract(url, 'https://example\\.org/([^/]+)/', 1) || '"', url FROM pages
     UNION ALL
     SELECT '<' || url || '>', '<{VOCAB}tokenCount>',
            '"' || len(string_split(text, ' ')) || '"^^<{XSD_INTEGER}>', url FROM pages
+           WHERE text IS NOT NULL
     UNION ALL
     SELECT '<' || url || '>', '<{VOCAB}mentions>',
            '<{ENTITY_NS}' || canon || '>', url FROM mentions

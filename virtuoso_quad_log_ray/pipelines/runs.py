@@ -319,10 +319,13 @@ def _aligned_snapshot(root: str) -> tuple[str, RunManifest]:
     return os.path.join(root, rekeyed), man
 
 
-def _repair(out_root: str, snapshot_root: str) -> tuple[RunManifest | None, bool]:
-    """Bring epoch, cursor and SNAPSHOT pointer up to the committed patch
-    manifest, the run's transaction. Returns ``(manifest, cursor_was_behind)``;
-    ``(None, False)`` on a sink with no committed run.
+def _repair(
+    out_root: str, snapshot_root: str, man: RunManifest | None
+) -> tuple[RunManifest | None, bool]:
+    """Bring epoch, cursor and SNAPSHOT pointer up to ``man``, the sink's
+    committed patch manifest and the run's transaction. Returns
+    ``(man, cursor_was_behind)``; ``(None, False)`` on a sink with no
+    committed run.
 
     Each commit after the manifest can be lost to a crash. A missing epoch
     is signed from the manifest; a cursor behind it is raised to
@@ -331,7 +334,6 @@ def _repair(out_root: str, snapshot_root: str) -> tuple[RunManifest | None, bool
     manifest has committed. Names compare as strings, so a re-keyed
     ``at-<C>.rekey`` pointer sorts after ``at-<C>`` and is never undone.
     """
-    man = load_manifest(out_root)
     if man is None:
         return None, False
     if ckpt.read_epoch(out_root) is None:
@@ -368,12 +370,16 @@ def _run(
     committed snapshot under ``snapshot_root``; a retry at the committed
     checkpoint whose cursor write was lost returns that manifest; any
     other sync must come after the cursor.
+
+    The sink's manifest is loaded once: validation, repair and the commit
+    all read that copy.
     """
     from virtuoso_quad_log_ray.state.validate import validate_sink
 
-    validate_sink(out_root)
+    prev = load_manifest(out_root)
+    validate_sink(out_root, manifest=prev)
     snapshot_root = snapshot_root or os.path.join(out_root, SNAPSHOTS_DIR)
-    prev, behind = _repair(out_root, snapshot_root)
+    prev, behind = _repair(out_root, snapshot_root, prev)
     dump = epoch is not None
     if dump and prev is not None:
         return prev
@@ -409,7 +415,9 @@ def _run(
         prev=prev_snap,
         texts=texts,
     )
-    manifest = commit_patch_run(out_root, patches, t_run0=t_run0, started=started, **run)
+    manifest = commit_patch_run(
+        out_root, patches, prev=prev, t_run0=t_run0, started=started, **run
+    )
     if dump:
         ckpt.write_epoch(out_root, epoch)
     ckpt.write_cursor(out_root, checkpoint)

@@ -7,7 +7,7 @@ quads (s, p, o, g=url). Extraction semantics are frozen and deterministic so
 the DuckDB oracle can reproduce them exactly (see TRIPLES_SQL in
 pipelines/kg.py):
 
-  metadata triples (one each per page)
+  metadata triples (one each per page; none for a null lang or text)
     (<url>, vocab#lang,       "lang")                       [xsd:string suppressed]
     (<url>, vocab#source,     "source")                      source parsed from url
     (<url>, vocab#tokenCount, "n"^^xsd:integer)              whitespace tokens
@@ -93,8 +93,9 @@ class TripleExtractor:
         def meta(pred: str, obj) -> pa.Table:
             # predicates are stored RENDERED (<iri>) like subjects, so quad
             # rows concatenate directly into valid N-Quads patch lines
-            # (vql_create_nquad formats every IRI term, utils.sql:23-30)
-            return pa.table(
+            # (vql_create_nquad formats every IRI term, utils.sql:23-30).
+            # A null lang or text has no term to render: its quad is dropped.
+            t = pa.table(
                 {
                     "s": s_iri,
                     "p": pa.array([f"<{VOCAB}{pred}>"] * n, type=pa.string()),
@@ -102,6 +103,7 @@ class TripleExtractor:
                     "g": url,
                 }
             )
+            return t if t["o"].null_count == 0 else t.filter(pc.is_valid(t["o"]))
 
         parts = [
             meta("lang", lang_o),

@@ -9,8 +9,10 @@ equivalents:
 
   validate_input   input table exists and carries the expected columns /
                    types (schema is the engine's 'configuration')
-  validate_sink    manifest pointer resolves, listed files exist with the
-                   recorded sizes, cursor/epoch tokens well-formed; in the
+  validate_sink    manifest pointer resolves, the newest run's files exist
+                   with the recorded sizes (older runs' files were checked
+                   by the runs after them, so a run checks its delta, not
+                   the history), cursor/epoch tokens well-formed; in the
                    publish dir no committed file is in two zips and every
                    run zip's files lie in the open chunk (the successor of
                    the single-zip-end invariant)
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import pyarrow.parquet as pq
 
 from virtuoso_quad_log_ray.state import checkpoint as ckpt
-from virtuoso_quad_log_ray.state.manifest import load_manifest
+from virtuoso_quad_log_ray.state.manifest import RunManifest, load_manifest
 
 REQUIRED_DOC_COLUMNS = {"doc_id", "text", "lang", "source"}
 
@@ -48,20 +50,35 @@ def validate_input(sf_dir: str) -> None:
         raise ValidationError(f"input schema missing columns: {sorted(missing)}")
 
 
-def validate_sink(root: str, pub: str | None = None) -> None:
+def validate_sink(
+    root: str, pub: str | None = None, *, manifest: RunManifest | None = None
+) -> None:
     """C2/C4/C6 analog: committed state must be internally consistent.
-    ``pub`` is the publish dir whose zips are checked (default: ``root``)."""
-    manifest = load_manifest(root)
-    if manifest is not None:
-        for e in manifest.files:
-            p = os.path.join(root, e.name)
-            if not os.path.exists(p):
-                raise ValidationError(f"manifest lists missing file: {e.name}")
-            if e.length and os.path.getsize(p) != e.length:
-                raise ValidationError(
-                    f"size drift for {e.name}: "
-                    f"{os.path.getsize(p)} != recorded {e.length}"
-                )
+    ``pub`` is the publish dir whose zips are checked (default: ``root``).
+    ``manifest`` is the sink's committed manifest when the caller has
+    loaded it already (None: load it here).
+
+    Only the newest run's files are stat'd: the committed files whose
+    ``rdf_out_<ts14>`` checkpoint equals ``manifest.checkpoint`` (a name
+    without one counts as the dump's). ``commit_patch_run`` appends each
+    run's files at the end of the list, so they are its trailing files.
+    Files a ``move_resources`` Bundler sealed and removed from the sink
+    (``publish.moved_count``) are not looked for."""
+    from virtuoso_quad_log_ray.pipelines.publish import bundle_problems, moved_count, ts14_of
+    from virtuoso_quad_log_ray.rdfpatch import TS14_ZERO
+
+    manifest = load_manifest(root) if manifest is None else manifest
+    files = manifest.files if manifest is not None else []
+    start = len(files)
+    while start and (ts14_of(files[start - 1].name) or TS14_ZERO) == manifest.checkpoint:
+        start -= 1
+    for e in files[max(start, moved_count(root, files)) :]:
+        try:
+            size = os.stat(os.path.join(root, e.name)).st_size
+        except FileNotFoundError:
+            raise ValidationError(f"manifest lists missing file: {e.name}") from None
+        if e.length and size != e.length:
+            raise ValidationError(f"size drift for {e.name}: {size} != recorded {e.length}")
     cursor = ckpt.read_cursor(root)
     if cursor is not None and not (len(cursor) == 14 and cursor.isdigit()):
         raise ValidationError(f"malformed ts14 cursor: {cursor!r}")
@@ -69,9 +86,7 @@ def validate_sink(root: str, pub: str | None = None) -> None:
     if epoch is not None and not epoch.strip():
         raise ValidationError("empty epoch token")
     if os.path.isdir(pub or root):
-        from virtuoso_quad_log_ray.pipelines.publish import bundle_problems
-
-        problems = bundle_problems(manifest.files if manifest else [], pub or root)
+        problems = bundle_problems(files, pub or root)
         if problems:
             raise ValidationError(problems[0])
 
