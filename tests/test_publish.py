@@ -75,6 +75,27 @@ class TestManifest:
         assert m.to_json() == json.dumps(asdict(m), indent=1, sort_keys=True)
         assert RunManifest.from_json(m.to_json()) == m
 
+    def test_to_json_escapes_entries_as_json_dumps_does(self):
+        """The per-entry template escapes strings as json.dumps does, and
+        a header value that reads like the file list does not move the
+        splice point."""
+        import json
+        from dataclasses import asdict
+
+        odd = ['say "hi"', "back\\slash\\", "ctl\x00\x1f\t\n\r\x7f", "Grüße ☃ 𝄞", ""]
+        files = [
+            FileEntry(f"{o}/rdf_out_{i:014d}", o, i * 7, o[::-1], 10**12 + i)
+            for i, o in enumerate(odd)
+        ]
+        for m in (
+            RunManifest(epoch="E1", checkpoint="C", kind="sync", files=files,
+                        last_source='x\n "files": [],\n "files": []',
+                        raw_digests={"bucket=00001.parquet": "a" * 32, 'k"\\': "é"}),
+            RunManifest(epoch="E1", checkpoint="C", kind="dump", last_source='"files": []'),
+        ):
+            assert m.to_json() == json.dumps(asdict(m), indent=1, sort_keys=True)
+            assert RunManifest.from_json(m.to_json()) == m
+
 
 class TestHandshake:
     def test_same_epoch_noop(self, tmp_path):
@@ -364,16 +385,16 @@ class TestBundlerScenarios:
         _mk_manifest(src, 5)
         b.publish()
 
+        import builtins
+
         import virtuoso_quad_log_ray.pipelines.publish as pubmod
 
-        real_makedirs = os.makedirs
-
-        def failing_makedirs(path, *a, **k):
-            if ".well-known" in str(path):  # the LAST doc of the set
+        def failing_open(path, *a, **k):
+            if str(path).endswith(pubmod.STAMP + ".part"):  # the LAST doc of the set
                 raise OSError("simulated disk failure")
-            return real_makedirs(path, *a, **k)
+            return builtins.open(path, *a, **k)
 
-        monkeypatch.setattr(pubmod.os, "makedirs", failing_makedirs)
+        monkeypatch.setattr(pubmod, "open", failing_open, raising=False)
         with pytest.raises(OSError, match="simulated"):
             b.publish_metadata()
         monkeypatch.undo()
@@ -1190,6 +1211,93 @@ class TestDeltaMetadata:
     a per-graph list or a ChangeList only when its dir or run gained files,
     its file is missing, or it was modified after the stamp."""
 
+    def test_source_parts_follow_new_dirs(self, tmp_path, monkeypatch):
+        """With a matching stamp, a source-description part is rendered
+        only when it gains a dir, and the source index only when a part
+        appears; the others are not even read. Every doc still equals a
+        from-scratch render."""
+        import builtins
+
+        import virtuoso_quad_log_ray.pipelines.publish as pubmod
+
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        runs = [(T0, [f"d{i:03d}" for i in range(40)])]
+        _commit_runs(src, runs)
+        b = Bundler(src, pub, max_files=250)
+        b.publish()
+        b.publish_metadata()
+        used = {pubmod.source_part(d) for d in [""] + runs[0][1]}
+        in_used = next(f"n{i}" for i in range(1000) if pubmod.source_part(f"n{i}") in used)
+        in_new = next(f"m{i}" for i in range(1000) if pubmod.source_part(f"m{i}") not in used)
+        real_open, real_part, real_index = (
+            builtins.open, pubmod._source_part_xml, pubmod._source_index_xml
+        )
+        for step, (ckpt, d, index) in enumerate(
+            [(TA, "d001", False), (TB, in_used, False), (TC, in_new, True)]
+        ):
+            runs.append((ckpt, [d]))
+            _commit_runs(src, runs)
+            b.publish()
+            reads, parts, indexes = [], [], []
+
+            def counting_open(file, mode="r", *a, **k):
+                if "r" in mode and str(file).startswith(pub):
+                    reads.append(os.path.relpath(str(file), pub))
+                return real_open(file, mode, *a, **k)
+
+            def part(base, rels):
+                parts.append(rels)
+                return real_part(base, rels)
+
+            def index_xml(base, ks):
+                indexes.append(ks)
+                return real_index(base, ks)
+
+            monkeypatch.setattr(builtins, "open", counting_open)
+            monkeypatch.setattr(pubmod, "_source_part_xml", part)
+            monkeypatch.setattr(pubmod, "_source_index_xml", index_xml)
+            docs = b.publish_metadata()
+            monkeypatch.undo()
+            new = [] if d == "d001" else [f"{d}/capability-list.xml"]
+            assert [r for r in parts if set(new) & set(r)] == parts and len(parts) == len(new)
+            assert len(indexes) == int(index), step
+            assert len([r for r in reads if r.startswith(".well-known")]) <= len(parts) + index
+            fresh = str(tmp_path / f"fresh{step}")
+            assert _fresh_render(src, pub, fresh, 250) == docs
+            _assert_docs_equal(pub, fresh, docs)
+
+    def test_publish_metadata_reuses_the_manifest_publish_loaded(self, tmp_path, monkeypatch):
+        """A round of publish + publish_metadata on one Bundler loads the
+        sink manifest once; a commit between the two calls is seen."""
+        src, pub = str(tmp_path / "src"), str(tmp_path / "pub")
+        loads = []
+        real = RunManifest.from_json
+
+        def counting(text):
+            loads.append(1)
+            return real(text)
+
+        monkeypatch.setattr(RunManifest, "from_json", staticmethod(counting))
+        _commit_runs(src, RUNS[:2])
+        b = Bundler(src, pub, max_files=4)
+        b.publish()
+        b.publish_metadata()
+        assert len(loads) == 1
+        _commit_runs(src, RUNS[:3])
+        b.publish()
+        _commit_runs(src, RUNS[:4])  # commits between the two calls
+        docs = b.publish_metadata()
+        assert len(loads) == 3 and f"changelist/{TC}.xml" in docs
+        with open(os.path.join(pub, f"changelist/{TC}.xml")) as f:
+            assert "/c/rdf_out_" in f.read()
+        b.publish()
+        docs = b.publish_metadata()
+        assert len(loads) == 3
+        monkeypatch.undo()
+        fresh = str(tmp_path / "fresh")
+        assert _fresh_render(src, pub, fresh, 4) == docs
+        _assert_docs_equal(pub, fresh, docs)
+
     def test_one_new_file_touches_one_dir_of_a_thousand(self, tmp_path, monkeypatch):
         import builtins
 
@@ -1240,7 +1348,9 @@ class TestDeltaMetadata:
         assert pub_reads - top - {STAMP} <= {cap} | {
             n for n in pub_reads if n.endswith(".zip.meta.json")
         }
-        assert mkdirs == [".well-known"]  # the source description's dir, once per run
+        assert mkdirs == []  # no doc lands in a missing dir
+        # no dir is new, so no source-description doc is read
+        assert not [r for r in pub_reads if r.startswith(".well-known")]
         with open(os.path.join(pub, cap)) as f:
             assert m.files[-1].name in f.read()
         assert [p for p in stats if p.startswith(src + os.sep) and "rdf_out_" in p] == [new_file]

@@ -9,6 +9,7 @@ import pytest
 from tests.conftest import SF_SMALL
 from virtuoso_quad_log_ray.config import EngineConfig
 from virtuoso_quad_log_ray.pipelines import runs
+from virtuoso_quad_log_ray.pipelines.materialize import bucket_id, bucket_rel
 from virtuoso_quad_log_ray.pipelines.publish import Bundler
 from virtuoso_quad_log_ray.rdfpatch import TS14_ZERO, parse_patch_text
 from virtuoso_quad_log_ray.state import checkpoint as ckpt
@@ -587,7 +588,7 @@ class TestBucketAlignedSync:
         new = new.filter(pc.not_equal(_bucket_of(new["g"], snap.n_buckets), emptied))
         self._sync_and_check(sink, snaps, prev, new)
         shards = {e.name for e in load_manifest(os.path.join(snaps, "at-" + self.CKPT)).files}
-        assert f"bucket={emptied:05d}/part.parquet" not in shards
+        assert bucket_rel(emptied) not in shards
 
     def test_one_shuffle_per_run_no_join_no_snapshot_read(self, tmp_path, monkeypatch):
         """A snapshot-backed dump or sync is ONE shuffle, by_bucket's range
@@ -766,10 +767,12 @@ class TestPageDelta:
         writes, reads, extracted = [], [], []
 
         def bucket_of_path(path):
-            return int(os.path.basename(os.path.dirname(str(path))).partition("=")[2])
+            return bucket_id(os.path.basename(str(path)))
 
         real_write, real_read, real_extract = (
-            materialize.write_snapshot_bucket, pq.read_table, kg.extract_triples_batch
+            materialize.write_snapshot_bucket,
+            materialize.read_snapshot_bucket,
+            kg.extract_triples_batch,
         )
 
         def write(quads, path):
@@ -786,7 +789,7 @@ class TestPageDelta:
             return real_extract(texts)
 
         monkeypatch.setattr(materialize, "write_snapshot_bucket", write)
-        monkeypatch.setattr(pq, "read_table", read)
+        monkeypatch.setattr(materialize, "read_snapshot_bucket", read)
         monkeypatch.setattr(kg, "extract_triples_batch", extract)
         path = str(tmp_path / "pages.parquet")
         pq.write_table(_edit_text(pages, edited), path)
@@ -798,7 +801,7 @@ class TestPageDelta:
         assert _bucket_of_urls(extracted[0], n) == touched
         carried = _carried(snaps, TS14_ZERO, self.CKPTS[0])
         assert {name for name, same in carried.items() if not same} == {
-            f"bucket={b:05d}/part.parquet" for b in touched
+            bucket_rel(b) for b in touched
         }
 
         writes.clear(), reads.clear(), extracted.clear()
@@ -820,9 +823,7 @@ class TestPageDelta:
         n = load_manifest(os.path.join(snaps, "at-" + TS14_ZERO)).n_buckets
         (bucket,) = _bucket_of_urls([gone], n)
         carried = _carried(snaps, TS14_ZERO, self.CKPTS[0])
-        assert {name for name, same in carried.items() if not same} <= {
-            f"bucket={bucket:05d}/part.parquet"
-        }
+        assert {name for name, same in carried.items() if not same} <= {bucket_rel(bucket)}
 
     def test_lang_only_edit_is_published(self, tmp_path, small_pages):
         pages = small_pages
@@ -965,6 +966,198 @@ class TestPageDelta:
             want[b] = ((a1 + s1) % 2**64, (a2 + s2) % 2**64, k + 1)
         got = digest_partials(t, n).to_pylist()
         assert {r["bucket"]: (r["s1"], r["s2"], r["n"]) for r in got} == want
+
+
+    def _count_extraction(self, monkeypatch):
+        """Record the urls of every page row whose text is extracted, and
+        the rows the text extractor itself is called on."""
+        from virtuoso_quad_log_ray.pipelines import kg
+        from virtuoso_quad_log_ray.stages.extract_text import ArticleRuleExtractor
+
+        urls, rows = [], []
+        real_texts, real_call = kg.page_texts, ArticleRuleExtractor.__call__
+
+        def page_texts(pages, *a, **k):
+            urls.extend(pages["url"].to_pylist())
+            return real_texts(pages, *a, **k)
+
+        def call(self, html):
+            rows.append(len(html))
+            return real_call(self, html)
+
+        monkeypatch.setattr(kg, "page_texts", page_texts)
+        monkeypatch.setattr(ArticleRuleExtractor, "__call__", call)
+        return urls, rows
+
+    def test_text_extraction_follows_the_raw_digests(self, tmp_path, monkeypatch, small_pages):
+        """The text extractor runs only on the rows of the buckets whose raw
+        digest moved: a 1% edit extracts its buckets, an identical re-sync
+        extracts no row, and a boilerplate-only html edit extracts its
+        buckets and rewrites no shard."""
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        pages = small_pages
+        sink, snaps, _ = self._runs(tmp_path, [pages])
+        n = load_manifest(os.path.join(snaps, "at-" + TS14_ZERO)).n_buckets
+        path = str(tmp_path / "pages.parquet")
+        urls, rows = self._count_extraction(monkeypatch)
+
+        def sync(crawl, k):
+            urls.clear(), rows.clear()
+            pq.write_table(crawl, path)
+            return runs.run_sync_pages(
+                path, sink, checkpoint=self.CKPTS[k], snapshot_root=snaps, cfg=CFG
+            )
+
+        edited = pages["url"].to_pylist()[::100]
+        in_buckets = _bucket_of_urls(edited, n)
+        assert len(in_buckets) < n // 2
+        m = sync(_edit_text(pages, edited), 0)
+        assert m.quad_count > 0
+        assert _bucket_of_urls(urls, n) == in_buckets and set(edited) <= set(urls)
+        assert sum(rows) == len(urls) < len(pages) // 2
+
+        assert sync(_edit_text(pages, edited), 1).quad_count == 0
+        assert urls == [] and sum(rows) == 0
+
+        renav = pages["url"].to_pylist()[1::100]
+        html = pc.replace_substring(
+            pc.cast(pages["html"], pa.string()), "<nav>home | about | contact</nav>", "<nav>home</nav>"
+        )
+        boiler = _set(_edit_text(pages, edited), renav, "html", lambda p: html)
+        m = sync(boiler, 2)
+        assert (m.quad_count, m.file_count) == (0, 0)
+        assert _bucket_of_urls(urls, n) == _bucket_of_urls(renav, n)
+        assert sum(rows) == len(urls) > 0
+        assert set(_carried(snaps, self.CKPTS[1], self.CKPTS[2]).values()) == {True}
+        raw = {
+            c: load_manifest(os.path.join(snaps, "at-" + c)).raw_digests for c in self.CKPTS[1:]
+        }
+        moved = {bucket_id(k) for k, d in raw[self.CKPTS[2]].items() if raw[self.CKPTS[1]][k] != d}
+        assert moved == _bucket_of_urls(renav, n)
+
+    def test_another_extractor_rebuilds_every_bucket(self, tmp_path, small_pages):
+        """The raw digests are salted with the text extractor's identity:
+        after an ``article`` dump, a ``tag_strip`` sync of the unchanged
+        crawl extracts and rebuilds every bucket and publishes the full
+        diff of the two extractions."""
+        import pyarrow.parquet as pq
+
+        from virtuoso_quad_log_ray.pipelines.kg import pages_to_quads
+
+        pages = small_pages
+        sink, snaps, _ = self._runs(tmp_path, [pages])
+        tag_strip = EngineConfig(max_quads_per_file=5000, extractor="tag_strip")
+        path = str(tmp_path / "pages.parquet")
+        pq.write_table(pages, path)
+        m = runs.run_sync_pages(
+            path, sink, checkpoint=self.CKPTS[0], snapshot_root=snaps, cfg=tag_strip
+        )
+        assert m.quad_count > 0
+        ref = str(tmp_path / "ref")
+        _reference_sink(
+            ref, self.CKPTS[0], pages_to_quads(pages, CFG), pages_to_quads(pages, tag_strip)
+        )
+        assert _published_at(sink, self.CKPTS[0]) == _published_at(ref, self.CKPTS[0])
+        assert set(_carried(snaps, TS14_ZERO, self.CKPTS[0]).values()) == {False}
+
+    def test_snapshot_of_the_nested_layout_without_raw_digests(
+        self, tmp_path, monkeypatch, small_pages
+    ):
+        """A snapshot written before shards were flat (``bucket=K/part.parquet``)
+        and before raw digests were stored syncs to the patch bytes a fresh
+        lineage publishes: its first sync extracts every bucket once and
+        rewrites only the buckets whose text digest moved. An identical
+        re-sync after it extracts nothing."""
+        import dataclasses
+
+        import pyarrow.parquet as pq
+
+        from virtuoso_quad_log_ray.state.manifest import commit_manifest
+
+        pages = small_pages
+        edited = _edit_text(pages, pages["url"].to_pylist()[::50])
+        sides = {}
+        for name in ("old", "fresh"):
+            os.makedirs(tmp_path / name)
+            sides[name] = self._runs(tmp_path / name, [pages])[:2]
+        snap_dir = os.path.join(sides["old"][1], "at-" + TS14_ZERO)
+        man = load_manifest(snap_dir)
+        files = []
+        for e in man.files:
+            rel = f"bucket={bucket_id(e.name):05d}/part.parquet"
+            os.makedirs(os.path.join(snap_dir, os.path.dirname(rel)))
+            os.replace(os.path.join(snap_dir, e.name), os.path.join(snap_dir, rel))
+            files.append(dataclasses.replace(e, name=rel))
+        commit_manifest(snap_dir, dataclasses.replace(man, files=files, raw_digests={}))
+        assert load_manifest(snap_dir).raw_digests == {}
+        path = str(tmp_path / "pages.parquet")
+        urls, _ = self._count_extraction(monkeypatch)
+        rewritten = {}
+        for name, (sink, snaps) in sides.items():
+            urls.clear()
+            pq.write_table(edited, path)
+            runs.run_sync_pages(path, sink, checkpoint=self.CKPTS[0], snapshot_root=snaps, cfg=CFG)
+            prior, new = (os.path.join(snaps, "at-" + c) for c in (TS14_ZERO, self.CKPTS[0]))
+            old_names = {bucket_id(e.name): e.name for e in load_manifest(prior).files}
+            rewritten[name] = {
+                e.name
+                for e in load_manifest(new).files
+                if not os.path.samefile(
+                    os.path.join(prior, old_names[bucket_id(e.name)]), os.path.join(new, e.name)
+                )
+            }
+            # the old snapshot extracts every row once, the fresh one its edits
+            assert urls and (len(urls) == len(pages)) == (name == "old")
+        assert rewritten["old"] == rewritten["fresh"] and rewritten["old"]
+        published = {}
+        for name, (sink, _) in sides.items():
+            published[name] = {}
+            for n5, md5 in _published_at(sink, self.CKPTS[0]):
+                with open(os.path.join(sink, n5), "rb") as f:
+                    published[name][n5] = (md5, f.read())
+        assert published["old"] == published["fresh"] and published["old"]
+
+        sink, snaps = sides["old"]
+        urls.clear()
+        m = runs.run_sync_pages(path, sink, checkpoint=self.CKPTS[1], snapshot_root=snaps, cfg=CFG)
+        assert m.quad_count == 0 and urls == []
+        shards = load_manifest(os.path.join(snaps, "at-" + self.CKPTS[1])).files
+        assert all(e.name == bucket_rel(bucket_id(e.name)) for e in shards)
+
+    def test_a_sync_makes_no_dir_but_its_snapshot_dir(self, tmp_path, monkeypatch, small_pages):
+        """Shards are flat files: a sync creates one dir under the snapshot
+        root, ``at-<ckpt>``, and pruning a snapshot removes one dir."""
+        import pyarrow.parquet as pq
+
+        pages = small_pages
+        sink, snaps, _ = self._runs(tmp_path, [pages])
+        real_mkdir, real_rmdir = os.mkdir, os.rmdir
+        made, removed = [], []
+
+        def mkdir(p, *a, **k):
+            real_mkdir(p, *a, **k)
+            made.append(str(p))
+
+        def rmdir(p, *a, **k):
+            real_rmdir(p, *a, **k)
+            removed.append(str(p))
+
+        path = str(tmp_path / "pages.parquet")
+        for k, c in enumerate(self.CKPTS):
+            pq.write_table(_edit_text(pages, pages["url"].to_pylist()[k::30]), path)
+            made.clear(), removed.clear()
+            monkeypatch.setattr(os, "mkdir", mkdir)
+            monkeypatch.setattr(os, "rmdir", rmdir)
+            runs.run_sync_pages(path, sink, checkpoint=c, snapshot_root=snaps, cfg=CFG)
+            monkeypatch.undo()
+            assert [p for p in made if p.startswith(snaps)] == [os.path.join(snaps, "at-" + c)]
+            pruned = [os.path.join(snaps, "at-" + ([TS14_ZERO] + list(self.CKPTS))[k - 1])] if k else []
+            assert [p for p in removed if p.startswith(snaps)] == pruned
+        for d in os.listdir(snaps):
+            if d.startswith("at-"):
+                assert all(e.is_file() for e in os.scandir(os.path.join(snaps, d)))
 
 
 def _crawl_rounds():

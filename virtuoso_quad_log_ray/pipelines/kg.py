@@ -20,6 +20,8 @@ __ray_entry__.oracle_sql(); keep them in sync (tests assert equality).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -27,11 +29,7 @@ import ray.data
 
 from virtuoso_quad_log_ray.config import DEFAULT_CONFIG, EngineConfig
 from virtuoso_quad_log_ray.sources.pages import PAGES_SQL_CTE, read_pages
-from virtuoso_quad_log_ray.stages.extract_text import (
-    extract_text,
-    extract_text_batch,
-    resolve_extractor,
-)
+from virtuoso_quad_log_ray.stages.extract_text import extract_text, resolve_extractor
 from virtuoso_quad_log_ray.stages.extract_triples import (
     ALIAS_PAIRS,
     ENTITY_NS,
@@ -95,16 +93,26 @@ def sql_with_pages(body: str, extra_cte: str = "") -> str:
 
 
 TEXT_COLS = ["url", "text", "lang"]  # what TripleExtractor reads of a page
+HTML_COLS = ["url", "html", "lang"]  # what text extraction and then TripleExtractor read
+TEXTS_SCHEMA = pa.schema([(c, pa.string()) for c in TEXT_COLS])
+
+
+def page_cols(from_html: bool) -> list[str]:
+    """The columns of a page that decide its quads: :data:`HTML_COLS` when
+    its text is extracted from html, else :data:`TEXT_COLS`."""
+    return HTML_COLS if from_html else TEXT_COLS
 
 
 def page_texts(
     pages: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG, *, from_html: bool = True
 ) -> pa.Table:
-    """One pages table (url, warc_ts, [html,] text, lang) -> its
-    :data:`TEXT_COLS`, text extraction first when ``from_html``."""
-    if from_html:
-        pages = extract_text_batch(pages, extractor=resolve_extractor(cfg.extractor))
-    return pages.select(TEXT_COLS)
+    """A pages table holding at least :func:`page_cols` -> its
+    :data:`TEXT_COLS`, the text extracted from html first when
+    ``from_html``."""
+    if not from_html:
+        return pages.select(TEXT_COLS)
+    text = resolve_extractor(cfg.extractor)(pc.cast(pages["html"], pa.string()))
+    return pa.table({"url": pages["url"], "text": text, "lang": pages["lang"]})
 
 
 def texts_to_quads(texts: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Table:
@@ -127,10 +135,13 @@ def pages_to_quads(
 
 
 # ---------------------------------------------------------------------------
-# Per-bucket source digests: the page-delta gate of the pages runs
+# Per-bucket digests: the two-level page-delta gate of the pages runs
 # (pipelines/runs.py). With g = url, bucket ``hash(url) % n`` of the quads
-# is a function of the (url, text, lang) rows hashed to it, so a bucket
-# whose rows are unchanged since the prior snapshot keeps its shard.
+# is a function of the page rows hashed to it. The raw digest, over the
+# columns the text extractor reads (:func:`page_cols`), decides which
+# buckets are text-extracted at all; the text digest, over the extracted
+# (url, text, lang) rows, decides which of those are rewritten, so a
+# boilerplate-only html edit still keeps its shard.
 # ---------------------------------------------------------------------------
 
 # one odd multiplier per (column, word): a row's two words weigh its
@@ -149,21 +160,45 @@ DIGEST_SCHEMA = pa.schema(
 )
 
 
+@functools.cache
+def _module_md5(name: str) -> str:
+    """md5 of a module's source file, "" for a module without one. Cached:
+    a process runs the code it imported, whatever the file holds later."""
+    import hashlib
+    import importlib
+
+    path = getattr(importlib.import_module(name), "__file__", None)
+    if not path:
+        return ""
+    with open(path, "rb") as f:
+        return hashlib.md5(f.read()).hexdigest()
+
+
 def source_fingerprint(cfg: EngineConfig = DEFAULT_CONFIG) -> str:
     """What, besides a bucket's (url, text, lang) rows, decides its quads:
     the triple extractor's code, the excluded graphs, the hash that keys
     buckets and the Arrow version. Every digest is salted with it, so a
     change to any of them moves every digest and rebuilds every shard."""
-    import hashlib
-    import importlib
     import json
 
     from virtuoso_quad_log_ray.numerics import hash_fingerprint
 
-    module = importlib.import_module("virtuoso_quad_log_ray.stages.extract_triples")
-    with open(module.__file__, "rb") as f:
-        code = hashlib.md5(f.read()).hexdigest()
+    code = _module_md5("virtuoso_quad_log_ray.stages.extract_triples")
     return json.dumps([code, sorted(cfg.excluded_graphs), hash_fingerprint(), pa.__version__])
+
+
+def raw_fingerprint(source_fp: str, cfg: EngineConfig = DEFAULT_CONFIG, *, from_html: bool) -> str:
+    """The salt of the raw digests: ``source_fp`` (:func:`source_fingerprint`)
+    plus, when the text is extracted from html, the text extractor's
+    identity (its class and the md5 of its module's source), so another
+    extractor moves every raw digest. An extractor whose output also
+    depends on its constructor arguments must differ in class or module to
+    be told apart."""
+    import json
+
+    ex = type(resolve_extractor(cfg.extractor)) if from_html else None
+    who = [ex.__module__, ex.__qualname__, _module_md5(ex.__module__)] if ex else "text"
+    return json.dumps([source_fp, who])
 
 
 def _bucket_sums(bucket: np.ndarray, words: np.ndarray, n_buckets: int) -> pa.Table:
@@ -176,53 +211,101 @@ def _bucket_sums(bucket: np.ndarray, words: np.ndarray, n_buckets: int) -> pa.Ta
     return pa.Table.from_arrays(cols, schema=DIGEST_SCHEMA)
 
 
-def digest_partials(texts: pa.Table, n_buckets: int) -> pa.Table:
-    """(bucket, s1, s2, n) partial sums of one block of (url, text, lang)
-    rows. A row hashes to two uint64 words, the multiplier-weighted sums
-    of its columns' ``hash128`` words (nulls hash to their own value), and
-    a bucket sums its rows' words: a sum, not a XOR, so a duplicated row
-    counts twice as ``changelog.diff_bucket``'s bag semantics need, and
-    the fold over blocks is associative (:func:`bucket_digests`)."""
+def digest_partials(rows: pa.Table, n_buckets: int, cols: list[str] = TEXT_COLS) -> pa.Table:
+    """(bucket, s1, s2, n) partial sums of one block of rows over the three
+    ``cols``, keyed by the first (the url). A row hashes to two uint64
+    words, the multiplier-weighted sums of its columns' ``hash128`` words
+    (nulls hash to their own value), and a bucket sums its rows' words: a
+    sum, not a XOR, so a duplicated row counts twice as
+    ``changelog.diff_bucket``'s bag semantics need, and the fold over
+    blocks is associative (:func:`bucket_digests`)."""
     from virtuoso_quad_log_ray.numerics import hash128
     from virtuoso_quad_log_ray.stages.shuffle import _bucket_of
 
-    words = np.zeros((len(texts), 3), dtype=np.uint64)
+    words = np.zeros((len(rows), 3), dtype=np.uint64)
     words[:, 2] = 1
-    for col, muls in zip(TEXT_COLS, _ROW_MULS):
-        for i, h in enumerate(hash128(texts[col])):
+    for col, muls in zip(cols, _ROW_MULS):
+        for i, h in enumerate(hash128(rows[col])):
             words[:, i] += h.view(np.uint64) * muls[i]
-    return _bucket_sums(_bucket_of(texts["url"], n_buckets).to_numpy(), words, n_buckets)
+    return _bucket_sums(_bucket_of(rows[cols[0]], n_buckets).to_numpy(), words, n_buckets)
 
 
 def bucket_digests(
-    texts: ray.data.Dataset | pa.Table, n_buckets: int, cfg: EngineConfig = DEFAULT_CONFIG
+    rows: ray.data.Dataset | pa.Table,
+    n_buckets: int,
+    cfg: EngineConfig = DEFAULT_CONFIG,
+    *,
+    cols: list[str] = TEXT_COLS,
+    salt: str | None = None,
 ) -> dict[int, str]:
-    """{bucket: source digest} of every bucket that holds a (url, text,
-    lang) row: the md5 of :func:`source_fingerprint` and the bucket's
-    (s1, s2, n) sums. A Dataset's blocks each emit their
-    :func:`digest_partials` and the calling process folds them, so no
-    exchange runs."""
+    """{bucket: digest} of every bucket that holds a row: the md5 of
+    ``salt`` and the bucket's (s1, s2, n) sums over ``cols``. The defaults
+    give the text digest, salted with :func:`source_fingerprint`; the raw
+    digest passes :func:`page_cols` and :func:`raw_fingerprint`. A
+    Dataset's blocks each emit their :func:`digest_partials` and the
+    calling process folds them, so no exchange runs."""
     import hashlib
 
     from virtuoso_quad_log_ray.stages.shuffle import blocks_of
 
-    if isinstance(texts, pa.Table):
-        partials = [digest_partials(texts, n_buckets)]
+    if isinstance(rows, pa.Table):
+        partials = [digest_partials(rows, n_buckets, cols)]
     else:
         partials = blocks_of(
-            texts.map_batches(
-                lambda b: digest_partials(b, n_buckets),
+            rows.map_batches(
+                lambda b: digest_partials(b, n_buckets, cols),
                 batch_format="pyarrow",
                 zero_copy_batch=True,
             )
         )
     parts = pa.concat_tables([DIGEST_SCHEMA.empty_table(), *partials])
     words = np.column_stack([parts[c].to_numpy() for c in ("s1", "s2", "n")])
-    salt = source_fingerprint(cfg)
+    salt = source_fingerprint(cfg) if salt is None else salt
     return {
         r["bucket"]: hashlib.md5(f"{salt}|{r['s1']}|{r['s2']}|{r['n']}".encode()).hexdigest()
         for r in _bucket_sums(parts["bucket"].to_numpy(), words, n_buckets).to_pylist()
     }
+
+
+def _in_buckets(rows: ray.data.Dataset | pa.Table, n_buckets: int, wanted, fn, **kwargs):
+    """``fn`` over the rows of ``rows`` whose url's bucket is in ``wanted``:
+    once on a table, else once per block (``kwargs`` go to map_batches)."""
+    from virtuoso_quad_log_ray.stages.shuffle import _bucket_of
+
+    wanted = pa.array(sorted(wanted), type=pa.int64())
+
+    def each(b: pa.Table) -> pa.Table:
+        return fn(b.filter(pc.is_in(_bucket_of(b["url"], n_buckets), value_set=wanted)))
+
+    if isinstance(rows, pa.Table):
+        return each(rows)
+    return rows.map_batches(each, batch_format="pyarrow", zero_copy_batch=True, **kwargs)
+
+
+def bucket_texts(
+    pages: ray.data.Dataset | pa.Table,
+    n_buckets: int,
+    wanted,
+    cfg: EngineConfig = DEFAULT_CONFIG,
+    *,
+    from_html: bool = True,
+) -> ray.data.Dataset | pa.Table:
+    """The :data:`TEXT_COLS` of the page rows whose bucket is in ``wanted``:
+    the text extractor runs on those rows only, one vectorized
+    :func:`page_texts` per block (the whole table in-process). A Dataset's
+    result is materialized: the bucket pass reads it twice, for its text
+    digests and its touched quads. No wanted bucket: no extraction, and
+    an empty table."""
+    if not wanted:
+        return TEXTS_SCHEMA.empty_table()
+    texts = _in_buckets(
+        pages,
+        n_buckets,
+        wanted,
+        lambda b: page_texts(b, cfg, from_html=from_html),
+        batch_size=cfg.pages_batch_size,
+    )
+    return texts if isinstance(texts, pa.Table) else texts.materialize()
 
 
 def touched_quads(
@@ -234,17 +317,7 @@ def touched_quads(
     """The quads of the (url, text, lang) rows whose bucket is in
     ``touched``: one vectorized :func:`texts_to_quads` per block (the
     whole table in-process), never one per bucket."""
-    from virtuoso_quad_log_ray.stages.shuffle import _bucket_of
-
-    wanted = pa.array(sorted(touched), type=pa.int64())
-
-    def extract(b: pa.Table) -> pa.Table:
-        keep = pc.is_in(_bucket_of(b["url"], n_buckets), value_set=wanted)
-        return texts_to_quads(b.filter(keep), cfg)
-
-    if isinstance(texts, pa.Table):
-        return extract(texts)
-    return texts.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
+    return _in_buckets(texts, n_buckets, touched, lambda b: texts_to_quads(b, cfg))
 
 
 def quads_from_pages(

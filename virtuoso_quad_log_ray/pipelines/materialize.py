@@ -152,7 +152,7 @@ def materialize_quads(
     epoch: str,
     n_buckets: int | None = None,
 ) -> RunManifest:
-    """quads (s, p, o, g) -> ``out_root/bucket=K/part.parquet`` sorted
+    """quads (s, p, o, g) -> ``out_root/bucket=K.parquet`` sorted
     adjacency partitions + committed manifest. Skips buckets already in a
     committed manifest with the same epoch (per-partition resume)."""
 
@@ -173,24 +173,27 @@ def materialize_quads(
 
 
 def bucket_rel(bucket: int) -> str:
-    """Path of bucket ``bucket``'s shard, relative to the snapshot dir. Its
-    manifest entry's ``md5`` is not a file checksum: a pages run stores
-    the shard's source digest there (``kg.bucket_digests``), the key that
-    lets the next pages run carry the shard forward unread; every other
-    writer stores ""."""
-    return f"bucket={bucket:05d}/part.parquet"
+    """Path of bucket ``bucket``'s shard, relative to the snapshot dir: one
+    flat file, so carrying a shard forward is one link and pruning a
+    snapshot empties one dir. Its manifest entry's ``md5`` is not a file
+    checksum: a pages run stores the shard's text digest there
+    (``kg.bucket_digests``), the key that lets the next pages run carry the
+    shard forward unread; every other writer stores ""."""
+    return f"bucket={bucket:05d}.parquet"
 
 
 def bucket_id(rel: str) -> int:
-    """Inverse of :func:`bucket_rel`."""
-    return int(rel.split("/", 1)[0].partition("=")[2])
+    """Inverse of :func:`bucket_rel`; also parses the ``bucket=K/part.parquet``
+    names of snapshots written before shards were flat."""
+    return int(rel.split("/", 1)[0].partition("=")[2].partition(".")[0])
 
 
 def write_snapshot_bucket(quads: pa.Table, path: str) -> pa.Table:
     """Sort one bucket's quads by (g, s, p, o) and write them atomically to
-    ``path``; returns the sorted (s, p, o, g) table as written. A stale
-    ``.part`` is removed first, never written through: a crashed sync may
-    have left it as a hard link to a prior snapshot's shard."""
+    ``path``, in an existing dir; returns the sorted (s, p, o, g) table as
+    written. A stale ``.part`` is removed first, never written through: a
+    crashed sync may have left it as a hard link to a prior snapshot's
+    shard."""
     import pyarrow.parquet as pq
 
     order = pc.sort_indices(
@@ -198,13 +201,22 @@ def write_snapshot_bucket(quads: pa.Table, path: str) -> pa.Table:
         sort_keys=[(c, "ascending") for c in ("g", "s", "p", "o")],
     )
     t = quads.take(order).select(["s", "p", "o", "g"])
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".part"
     if os.path.lexists(tmp):
         os.remove(tmp)
     pq.write_table(t, tmp)
     os.replace(tmp, path)
     return t
+
+
+def read_snapshot_bucket(path: str, columns: list[str]) -> pa.Table:
+    """``columns`` of one snapshot shard, read as the single file it is:
+    ``pq.ParquetFile`` skips the dataset discovery ``pq.read_table`` runs
+    on every path."""
+    import pyarrow.parquet as pq
+
+    with pq.ParquetFile(path) as f:
+        return f.read(columns=columns)
 
 
 def commit_materialized(
@@ -215,10 +227,12 @@ def commit_materialized(
     epoch: str,
     n_buckets: int,
     t_run0: float,
+    raw_digests: dict[str, str] | None = None,
 ) -> RunManifest:
     """Commit the manifest of a non-append bucketed sink (snapshot, JSONL,
     WARC) whose ``files`` are already on disk; ``t_run0`` (perf_counter)
-    marks the run's start for the throughput fields."""
+    marks the run's start for the throughput fields. ``raw_digests`` is a
+    pages run's {shard name: raw digest} (``RunManifest.raw_digests``)."""
     from virtuoso_quad_log_ray.numerics import hash_fingerprint
 
     files = sorted(files, key=lambda e: e.name)
@@ -235,6 +249,7 @@ def commit_materialized(
         quads_per_sec=round(quad_count / elapsed, 1) if elapsed > 0 else 0.0,
         hash_fp=hash_fingerprint(),
         n_buckets=n_buckets,
+        raw_digests=raw_digests or {},
     )
     commit_manifest(out_root, manifest)
     return manifest
@@ -243,8 +258,9 @@ def commit_materialized(
 def read_materialized(out_root: str) -> ray.data.Dataset:
     """Committed adjacency partitions -> quad Dataset (manifest-listed).
 
-    Explicit columns= keeps the hive-style ``bucket=K`` directory from being
-    inferred back as a partition column (it is layout, not data)."""
+    Explicit columns= keeps a ``bucket=K`` name from being inferred back as
+    a hive partition column (it is layout, not data): snapshots written
+    before shards were flat hold ``bucket=K/part.parquet`` dirs."""
     manifest = load_manifest(out_root)
     if manifest is None:
         raise FileNotFoundError(f"no committed manifest under {out_root}")

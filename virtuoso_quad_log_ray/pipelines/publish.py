@@ -39,11 +39,12 @@ page per chunk, top-level capability list of capability documents, one
 immutable ChangeList per sync run, chunk-aligned ChangeList index pages,
 per-graph capability lists and a source description split into
 ``SOURCE_PARTS`` parts) come from the sidecars and the source manifest.
-The top-level docs are rendered each run; a per-graph list or a sync's
-ChangeList is read, rendered or written only when its dir or run gained
-files since the last render (the ``STAMP`` file in the publish root
-records what that render reflected), when it is missing, or when it was
-modified after that render. A doc is written only when its bytes differ
+The resource dump, capability list and ChangeList index pages are
+rendered each run; a per-graph list, a sync's ChangeList or a source
+description doc is read, rendered or written only when it gained entries
+since the last render (the ``STAMP`` file in the publish root records
+what that render reflected), when it is missing, or when it was modified
+after that render. A doc is written only when its bytes differ
 from the file on disk, so a publish round touches only what changed.
 """
 
@@ -74,6 +75,7 @@ from virtuoso_quad_log_ray.rdfpatch import (
 )
 from virtuoso_quad_log_ray.stages.shuffle import by_bucket, default_n_buckets
 from virtuoso_quad_log_ray.state.manifest import (
+    POINTER,
     FileEntry,
     RunManifest,
     commit_manifest,
@@ -301,6 +303,7 @@ DEF_ZIP = "part_def_"  # part_def_<n:05d>.zip: sealed chunk n
 RUN_ZIP = "part_run_"  # part_run_<n:05d>_<ckpt14>.zip: one run's files in open chunk n
 SOURCE_PARTS = 64  # source-description parts; a graph dir's list is in part crc32(dir) % 64
 STAMP = "metadata-stamp.json"  # publish root: what the last doc render reflected
+SOURCE_INDEX = os.path.join(".well-known", "resourcesync")  # the source description
 MOVED = "moved.json"  # source root: the leading committed files move_resources removed
 _NS = (
     'xmlns="http://www.sitemaps.org/schemas/sitemap/0.9" '
@@ -374,6 +377,10 @@ def moved_count(root: str, files: list[FileEntry]) -> int:
     from the sink ``root`` (0 when none)."""
     rec = _prefix_record(os.path.join(root, MOVED), files)
     return rec["count"] if rec else 0
+
+
+def _source_part_rel(k: int) -> str:
+    return os.path.join(".well-known", f"resourcesync-{k:02d}.xml")
 
 
 def source_part(graph_dir: str) -> int:
@@ -487,6 +494,7 @@ class Bundler:
         self.max_files = max_files
         self.max_bytes = self.MAX_BYTES_DEFAULT if max_bytes is None else max_bytes
         self.move_resources = move_resources
+        self._loaded: tuple[tuple, RunManifest] | None = None  # see _manifest
 
     # -- state inspection ---------------------------------------------------
 
@@ -523,9 +531,27 @@ class Bundler:
 
     # -- publication --------------------------------------------------------
 
+    def _manifest(self) -> RunManifest | None:
+        """The source sink's committed manifest, loaded once per commit: a
+        :meth:`publish_metadata` after :meth:`publish` reuses the copy
+        ``publish`` loaded while ``MANIFEST`` names the same, unreplaced
+        file (a commit writes a new ``manifest-<n>.json`` and replaces
+        both by rename)."""
+        try:
+            with open(os.path.join(self.source_root, POINTER)) as f:
+                name = f.read().strip()
+            st = os.stat(os.path.join(self.source_root, name))
+        except FileNotFoundError:
+            return None
+        key = (name, st.st_ino, st.st_mtime_ns, st.st_size)
+        if self._loaded is None or self._loaded[0] != key:
+            with open(os.path.join(self.source_root, name)) as f:
+                self._loaded = key, RunManifest.from_json(f.read())
+        return self._loaded[1]
+
     def publish(self) -> BundleState:
         os.makedirs(self.publish_root, exist_ok=True)
-        manifest = load_manifest(self.source_root)
+        manifest = self._manifest()
         if manifest is None or not manifest.files:
             return self.state()  # zero resources: sink exists, nothing published
 
@@ -646,22 +672,24 @@ class Bundler:
         a doc equal to the file already at its path keeps that file (inode
         and mtime), so a destination polling by lastmod refetches only what
         changed, and a round writes docs sized by its own changes. The
-        top-level docs (resource dump, capability list, ChangeList index
-        pages, source description) are rendered and compared each run.
-        The per-graph lists and the ChangeLists, one per dir and per sync
-        run, follow the delta instead: the :data:`STAMP` written last
-        records the epoch, ``base_uri``, render code and the count and
-        last name of the committed files the docs reflect. While it
-        matches, such a doc is read, rendered or written only if its dir
-        or run gained files since, its file is missing, or its mtime is at
-        or after the stamp's (edited by hand); every other doc is kept
-        unread. With no matching stamp every doc is rendered and compared.
+        resource dump, the capability list and the ChangeList index pages
+        are rendered and compared each run. The per-graph lists, the
+        ChangeLists and the source description follow the delta instead:
+        the :data:`STAMP` written last records the epoch, ``base_uri``,
+        render code and the count and last name of the committed files the
+        docs reflect. While it matches, such a doc is read, rendered or
+        written only if it gained entries since (a per-graph list or a
+        ChangeList: its dir or run gained files; a source part: it gained
+        a dir, one whose first file lies past the stamp; the source index:
+        a part appeared), its file is missing, or its mtime is at or after
+        the stamp's (edited by hand); every other doc is kept unread. With
+        no matching stamp every doc is rendered and compared.
         The changed docs form a TRANSACTIONAL SET: all staged to ``.part``
         then promoted together (the reference rewrites and rolls back
         these files as a unit, zipsynchronizer.py:69-109), and the stamp
         follows them. Returns the full current doc set, written or kept."""
         base = escape(base_uri)
-        manifest = load_manifest(self.source_root)
+        manifest = self._manifest()
         files = manifest.files if manifest else []
         stamp = {
             "epoch": manifest.epoch if manifest else "",
@@ -672,13 +700,15 @@ class Bundler:
         }
         stamp_path = os.path.join(self.publish_root, STAMP)
         prior = _prefix_record(stamp_path, files)
-        grown: set[str] = set()  # dirs and sync runs that gained files since the stamp
+        # dirs, sync runs and source-description docs that gained files or
+        # entries since the stamp
+        grown: set[str] = set()
         if prior is not None and {**prior, "count": len(files), "last": stamp["last"]} == stamp:
-            since = os.stat(stamp_path).st_mtime_ns
-            for e in files[prior["count"] :]:
+            since, old = os.stat(stamp_path).st_mtime_ns, prior["count"]
+            for e in files[old:]:
                 grown |= {e.name.rpartition("/")[0], ts14_of(e.name) or TS14_ZERO}
         else:
-            since = None
+            since, old = None, 0
 
         def lazy(rel: str, key: str, render, *args) -> tuple[str, str | None]:
             """(rel, body) of a per-dir or per-run doc; body None = kept unread."""
@@ -702,15 +732,28 @@ class Bundler:
             pages.setdefault(chunk_of.get(entries[0].name, len(sealed)), []).append(ckpt)
 
         by_dir: dict[str, list[FileEntry]] = {}
-        for e in files:
+        new_dirs: set[str] = set()  # dirs whose first file lies past the stamp
+        for i, e in enumerate(files):
             d = e.name.rpartition("/")[0]  # a graph's base64 may hold "/"
+            if d and d not in by_dir:
+                by_dir[d] = []
+                if i >= old:
+                    new_dirs.add(d)
             if d:
-                by_dir.setdefault(d, []).append(e)
+                by_dir[d].append(e)
+        # a source part changes only when it gains a dir, the index only
+        # when a part appears
         parts: dict[int, list[str]] = {}
+        old_parts: set[int] = set()
         for d in [""] + sorted(by_dir):
-            parts.setdefault(source_part(d), []).append(
-                f"{d}/capability-list.xml" if d else "capability-list.xml"
-            )
+            k = source_part(d)
+            parts.setdefault(k, []).append(f"{d}/capability-list.xml" if d else "capability-list.xml")
+            if d in new_dirs:
+                grown.add(_source_part_rel(k))
+            else:
+                old_parts.add(k)
+        if parts.keys() - old_parts:
+            grown.add(SOURCE_INDEX)
 
         index_pages = {f"changelist-{n:05d}.xml": ckpts for n, ckpts in sorted(pages.items())}
         dump_pages = self._resource_dump_pages(base)
@@ -729,12 +772,10 @@ class Bundler:
             for d in sorted(by_dir)
         ]
         docs += [
-            (os.path.join(".well-known", f"resourcesync-{k:02d}.xml"), _source_part_xml(base, rels))
+            lazy(_source_part_rel(k), _source_part_rel(k), _source_part_xml, base, rels)
             for k, rels in sorted(parts.items())
         ]
-        docs.append(
-            (os.path.join(".well-known", "resourcesync"), _source_index_xml(base, sorted(parts)))
-        )
+        docs.append(lazy(SOURCE_INDEX, SOURCE_INDEX, _source_index_xml, base, sorted(parts)))
         # Transactional set (VERDICT r2 #6, reference purges the XML set as a
         # unit, zipsynchronizer.py:69-109): write every changed doc to a
         # .part first, then promote them all with atomic renames — an
@@ -743,19 +784,14 @@ class Bundler:
         # exactly these bytes is kept, a missing or stale one is rewritten.
         # The stamp goes last, so a crash before it leaves the prior stamp,
         # whose count makes the next run re-render what this one changed.
-        # The source description's dir is made once per run, at its first
-        # doc; any other doc's dir only when a doc is written into it and
-        # the dir is missing.
+        # A doc's dir is made only when a doc is written into it and the
+        # dir is missing.
         staged: list[tuple[str, str]] = []
-        source_dir_made = False
         try:
             for rel, body in docs + [(STAMP, json.dumps(stamp, separators=(",", ":")))]:
                 if body is None:
                     continue
                 path = os.path.join(self.publish_root, rel)
-                if not source_dir_made and rel.startswith(".well-known"):
-                    os.makedirs(os.path.dirname(path), exist_ok=True)
-                    source_dir_made = True
                 data = body.encode("utf-8")
                 if _holds(path, data):
                     continue

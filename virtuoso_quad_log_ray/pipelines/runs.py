@@ -42,18 +42,24 @@ the table when the pages Parquet is smaller than
 outweighs the work; both executors publish the same bytes.
 
 Page delta. The pages runs (``run_dump_pages``/``run_sync_pages``, and
-``run_dump``/``run_sync`` over the sandbox crawl) hand the pass the
-(url, text, lang) rows the triple extractor reads, not quads. With
-g = url a bucket's quads are a function of its rows, so the pass first
-takes each bucket's source digest (``kg.bucket_digests``) and stores it
-in the shard's manifest entry. A bucket whose digest equals the prior
-shard's is carried forward: its shard is hard-linked into the new
-snapshot dir, unread. Only the other buckets' rows are extracted, and
-only their prior shards are read, diffed and rewritten, so a sync works
-in proportion to the change, as the reference's tail of Virtuoso's
-transaction log does (parse_trx_logs.sql). Every snapshot dir stays
-self-contained. Quad runs (``run_*_quads``), re-keyed snapshots and a
-changed extractor or filter (the digests' salt) touch every bucket.
+``run_dump``/``run_sync`` over the sandbox crawl) hand the pass page rows,
+not quads: (url, html, lang), or (url, text, lang) where the input is
+already text. With g = url a bucket's quads are a function of its rows, so
+the pass gates each bucket twice before it does any work on it. A raw
+digest over the rows the text extractor reads, salted with the extractor's
+identity, decides which buckets are text-extracted at all; a text digest
+over the extracted (url, text, lang) rows then decides which of those are
+rewritten. Both are stored in the snapshot manifest (the text digest in
+each shard's entry, the raw digests in ``RunManifest.raw_digests``). A
+bucket that passes either gate is carried forward: its shard is
+hard-linked into the new snapshot dir, unread. Only the other buckets'
+rows become quads, and only their prior shards are read, diffed and
+rewritten, so a sync works in proportion to the change, as the
+reference's tail of Virtuoso's transaction log does (parse_trx_logs.sql),
+and a boilerplate-only html edit costs its buckets one text extraction
+and rewrites nothing. Every snapshot dir stays self-contained. Quad runs
+(``run_*_quads``), re-keyed snapshots and a changed extractor or filter
+(the digests' salt) touch every bucket.
 
 State layout under ``out_root`` (all via state/manifest + state/checkpoint):
   MANIFEST + manifest-*.json   committed files + counters (A1/A3)
@@ -61,6 +67,10 @@ State layout under ``out_root`` (all via state/manifest + state/checkpoint):
   epoch.ts14                   run-lineage handshake token
   <b64(graph)>/rdf_out_*       the published patch files
   snapshots/                   the default snapshot_root (no manifest lists it)
+
+and under ``snapshot_root``: ``SNAPSHOT`` (the committed snapshot dir's
+name) and ``at-<ts14>/`` snapshot dirs, each a manifest and one flat
+shard file per bucket, ``bucket=K.parquet``.
 """
 
 from __future__ import annotations
@@ -98,9 +108,9 @@ def _with_op(quads: ray.data.Dataset, op: str) -> ray.data.Dataset:
 # sorted-Parquet layout (pipelines/materialize.py), and the next sync diffs
 # against the STORED prior snapshot instead of recomputing it from source —
 # at 100 TB recomputing the previous crawl's extraction is not an option.
-# Layout: <snapshot_root>/at-<ts14>/bucket=K/part.parquet + a SNAPSHOT
-# pointer file (atomic rename) naming the current snapshot dir; the two most
-# recent snapshots are retained for rollback, older ones pruned.
+# Layout: <snapshot_root>/at-<ts14>/bucket=K.parquet + a SNAPSHOT pointer
+# file (atomic rename) naming the current snapshot dir; the two most recent
+# snapshots are retained for rollback, older ones pruned.
 # ---------------------------------------------------------------------------
 
 SNAPSHOT_POINTER = "SNAPSHOT"
@@ -189,7 +199,6 @@ def _carry_shard(src: str, dst: str) -> None:
 
     if os.path.exists(dst) and os.path.samefile(src, dst):
         return
-    os.makedirs(os.path.dirname(dst), exist_ok=True)
     part = dst + ".part"
     if os.path.lexists(part):
         os.remove(part)
@@ -210,40 +219,60 @@ def _bucket_pass(
     cfg: EngineConfig,
     t_run0: float,
     prev: tuple[str, RunManifest] | None = None,
-    texts: bool = False,
+    pages: str | None = None,
 ) -> list[FileEntry]:
     """One bucket pass: new quads keyed by ``hash(g) % n_buckets`` -> per
-    bucket the sorted snapshot shard under ``snap_dir`` and the patch files
-    under ``out_root``. A ``pa.Table`` runs in the calling process, a
-    Dataset as one Ray Data range sort (``shuffle.by_bucket``). Commits the
-    new snapshot's manifest and returns the patch entries for the
-    caller's commit. ``prev`` None = dump (every quad is
-    '+'); otherwise it is the prior snapshot's ``(dir, manifest)``, whose
-    shards MUST be keyed by the same hash — the caller re-keys them first
-    (:func:`_aligned_snapshot`) — and whose ``n_buckets`` the new one keeps.
+    bucket the sorted snapshot shard ``bucket_rel(K)`` under ``snap_dir``
+    and the patch files under ``out_root``. A ``pa.Table`` runs in the
+    calling process, a Dataset as one Ray Data range sort
+    (``shuffle.by_bucket``). Commits the new snapshot's manifest and
+    returns the patch entries for the caller's commit. ``prev`` None =
+    dump (every quad is '+'); otherwise it is the prior snapshot's ``(dir,
+    manifest)``, whose shards MUST be keyed by the same hash — the caller
+    re-keys them first (:func:`_aligned_snapshot`) — and whose
+    ``n_buckets`` the new one keeps.
 
-    ``texts`` True: ``new`` holds (url, text, lang) page rows, not quads
-    (the page-delta pass). Each bucket's source digest
-    (``kg.bucket_digests``) is stored in its shard's ``FileEntry.md5``; a
-    prior shard whose stored digest equals the new one is hard-linked
-    into ``snap_dir`` with its entry, and only the rows of the other
-    buckets are extracted (``kg.touched_quads``) and passed. A quad run
-    stores "" and so touches every bucket.
+    ``pages`` set: ``new`` holds page rows, not quads (the page-delta
+    pass), and ``pages`` names the column their text comes from: "html"
+    (extracted) or "text" (as is). The gate has two levels:
+
+    1. Raw: each bucket's digest of the rows the text extractor reads
+       (``kg.page_cols``, salted with ``kg.raw_fingerprint``). A bucket
+       whose raw digest equals the one the prior snapshot's manifest
+       stores for its shard (``RunManifest.raw_digests``) is kept
+       unextracted. Only the other buckets' rows are text-extracted
+       (``kg.bucket_texts``); a prior snapshot without raw digests has
+       every bucket extracted once.
+    2. Text: each extracted bucket's digest of its (url, text, lang) rows
+       (``kg.bucket_digests``), stored in the shard's ``FileEntry.md5``.
+       A bucket whose text digest equals the prior shard's is kept too,
+       so a boilerplate-only html edit rewrites nothing.
+
+    A kept shard is hard-linked into ``snap_dir`` with its entry, and only
+    the other buckets' texts become quads (``kg.touched_quads``) and are
+    passed. A quad run stores "" and no raw digests, so it touches every
+    bucket.
 
     A touched bucket that held prior quads but receives no new ones still
     needs a task to emit its '-' records: every touched prior bucket id is
     passed to ``by_bucket`` as ``also``.
     """
-    import pyarrow.parquet as pq
-
     from virtuoso_quad_log_ray.pipelines.changelog import QUAD_COLS, diff_bucket
-    from virtuoso_quad_log_ray.pipelines.kg import bucket_digests, touched_quads
+    from virtuoso_quad_log_ray.pipelines.kg import (
+        bucket_digests,
+        bucket_texts,
+        page_cols,
+        raw_fingerprint,
+        source_fingerprint,
+        touched_quads,
+    )
     from virtuoso_quad_log_ray.pipelines.materialize import (
         bucket_id,
         bucket_rel,
         commit_materialized,
         entries_table,
         entry_of,
+        read_snapshot_bucket,
         write_snapshot_bucket,
     )
     from virtuoso_quad_log_ray.pipelines.publish import write_patch_files
@@ -254,14 +283,26 @@ def _bucket_pass(
     prev_dir, prev_man = prev or (None, None)
     n_buckets = prev_man.n_buckets if prev_man else default_n_buckets()
     prior = {bucket_id(e.name): e for e in prev_man.files} if prev_man else {}
-    digests = bucket_digests(new, n_buckets, cfg) if texts else {}
+    raw, digests, texts = {}, {}, new
+    if pages:
+        from_html = pages == "html"
+        text_salt = source_fingerprint(cfg)
+        raw_salt = raw_fingerprint(text_salt, cfg, from_html=from_html)
+        raw = bucket_digests(new, n_buckets, cols=page_cols(from_html), salt=raw_salt)
+        prior_raw = prev_man.raw_digests if prev_man else {}
+        same = {b for b, d in raw.items() if b in prior and prior_raw.get(prior[b].name) == d}
+        texts = bucket_texts(new, n_buckets, raw.keys() - same, cfg, from_html=from_html)
+        digests = {b: prior[b].md5 for b in same} | bucket_digests(texts, n_buckets, salt=text_salt)
     kept = {b: e for b, e in prior.items() if digests.get(b) == e.md5}
     touched = (digests.keys() | prior.keys()) - kept.keys()
     also = prior.keys() - kept.keys()
     os.makedirs(snap_dir, exist_ok=True)
     os.makedirs(out_root, exist_ok=True)
-    for e in kept.values():
-        _carry_shard(os.path.join(prev_dir, e.name), os.path.join(snap_dir, e.name))
+    shards = []
+    for b, e in kept.items():
+        rel = bucket_rel(b)
+        _carry_shard(os.path.join(prev_dir, e.name), os.path.join(snap_dir, rel))
+        shards.append(FileEntry(rel, e.graph, e.amount, e.md5, e.length))
 
     def sync_bucket(bucket: int, new: pa.Table) -> pa.Table:
         rel = bucket_rel(bucket)
@@ -270,7 +311,7 @@ def _bucket_pass(
             new = write_snapshot_bucket(new, os.path.join(snap_dir, rel))
             shards.append(FileEntry(rel, "", len(new), digests.get(bucket, ""), 0))
         if bucket in also:
-            old = pq.read_table(os.path.join(prev_dir, rel), columns=QUAD_COLS)
+            old = read_snapshot_bucket(os.path.join(prev_dir, prior[bucket].name), QUAD_COLS)
             log = diff_bucket(old.cast(QUADS_SCHEMA), new)
         else:
             log = with_op(new, "+")
@@ -278,15 +319,21 @@ def _bucket_pass(
         flags = pa.array([True] * len(shards) + [False] * len(patches))
         return entries_table(shards + patches).append_column("shard", flags)
 
-    if texts and not touched:
+    if pages and not touched:
         meta = []
     else:
-        quads = touched_quads(new, n_buckets, touched, cfg) if texts else new
+        quads = touched_quads(texts, n_buckets, touched, cfg) if pages else new
         meta = by_bucket(quads, "g", n_buckets, sync_bucket, schema=QUADS_SCHEMA, also=also)
         meta = meta.to_pylist() if isinstance(meta, pa.Table) else meta.take_all()
-    shards = [entry_of(r) for r in meta if r["shard"]] + list(kept.values())
+    shards += [entry_of(r) for r in meta if r["shard"]]
     commit_materialized(
-        snap_dir, shards, kind="materialize", epoch=epoch, n_buckets=n_buckets, t_run0=t_run0
+        snap_dir,
+        shards,
+        kind="materialize",
+        epoch=epoch,
+        n_buckets=n_buckets,
+        t_run0=t_run0,
+        raw_digests={e.name: raw[b] for e in shards if (b := bucket_id(e.name)) in raw},
     )
     return [entry_of(r) for r in meta if not r["shard"]]
 
@@ -358,12 +405,13 @@ def _run(
     snapshot_root: str | None,
     last_source: str,
     epoch: str | None = None,
-    texts: bool = False,
+    pages: str | None = None,
 ) -> RunManifest:
     """One run — a dump when ``epoch`` is given, else a sync — gated and
     committed as the module docstring describes. ``snapshot_root`` None
     is the sink-owned ``<out_root>/snapshots``. ``new`` holds quads, or
-    (url, text, lang) page rows when ``texts`` (see :func:`_bucket_pass`).
+    page rows whose text comes from column ``pages`` (see
+    :func:`_bucket_pass`).
 
     After :func:`_repair`: a dump on a sink with any committed manifest
     returns it and writes nothing. A sync needs a committed manifest and a
@@ -413,7 +461,7 @@ def _run(
         cfg=cfg,
         t_run0=t_run0,
         prev=prev_snap,
-        texts=texts,
+        pages=pages,
     )
     manifest = commit_patch_run(
         out_root, patches, prev=prev, t_run0=t_run0, started=started, **run
@@ -448,14 +496,14 @@ def run_dump(
     validate_input(sf_dir)
     probe = snapshot_probe(sf_dir)
     manifest = _run(
-        _version_texts(sf_dir, version, cfg),
+        _version_rows(sf_dir, version),
         out_root,
         checkpoint=TS14_ZERO,
         cfg=cfg,
         snapshot_root=snapshot_root,
         last_source=f"{sf_dir}#v{version}",
         epoch=epoch,
-        texts=True,
+        pages="text",
     )
     # T6 write-quiescence assertion: immutable Parquet makes serializable
     # fencing free, but assert the input really was unchanged during the run
@@ -480,8 +528,9 @@ def run_sync(
     generate-rdfpatch.sh:348-351). The PREV side is the stored snapshot
     under ``snapshot_root`` (default ``<out_root>/snapshots``; the prior
     crawl is never recomputed), and the new state is checkpointed in the
-    same bucket pass as the diff. Only the buckets whose source digest
-    moved are extracted and diffed (page delta, see the module docstring).
+    same bucket pass as the diff. Only the buckets whose raw digest moved
+    are text-extracted, and only those whose text digest moved are diffed
+    (page delta, see the module docstring).
 
     Crash-window semantics (commit order: snapshot manifest -> patch
     manifest -> cursor -> SNAPSHOT pointer):
@@ -500,23 +549,24 @@ def run_sync(
 
     validate_input(sf_dir)
     return _run(
-        _version_texts(sf_dir, new_version, cfg),
+        _version_rows(sf_dir, new_version),
         out_root,
         checkpoint=checkpoint,
         cfg=cfg,
         snapshot_root=snapshot_root,
         last_source=f"{sf_dir}#v{new_version}",
-        texts=True,
+        pages="text",
     )
 
 
 # ---------------------------------------------------------------------------
 # Quad-set runs: the dump and sync of an arbitrary quad set. They carry no
-# source digest, so every bucket is extracted, diffed and rewritten.
-# Production loop over a REAL pages table (input_hint schema), below: the
-# dump checkpoints the canonical quad set and each bucket's source digest;
-# every sync reads the CURRENT table, digests it, and extracts and diffs
-# only the buckets whose digest moved against the stored snapshot.
+# digests, so every bucket is diffed and rewritten. Production loop over a
+# REAL pages table (input_hint schema), below: the dump checkpoints the
+# canonical quad set and each bucket's raw and text digests; every sync
+# reads the CURRENT table, digests its raw rows, text-extracts only the
+# buckets whose raw digest moved, and diffs only those whose text digest
+# moved against the stored snapshot.
 # ---------------------------------------------------------------------------
 
 
@@ -589,39 +639,35 @@ def runs_in_process(pages_path: str) -> bool:
     return nbytes < IN_PROCESS_BYTES
 
 
-def _texts(pages: ray.data.Dataset, cfg: EngineConfig, *, from_html: bool) -> ray.data.Dataset:
-    """(url, text, lang) of every block of ``pages``, materialized once:
-    the bucket pass reads it twice, for its digests and its touched rows."""
-    from virtuoso_quad_log_ray.pipelines.kg import page_texts
+def _rows(pages: ray.data.Dataset, *, from_html: bool) -> ray.data.Dataset:
+    """The ``kg.page_cols`` of every block of ``pages``, materialized once:
+    the bucket pass reads them twice, for the raw digests and the rows of
+    the buckets it extracts."""
+    from virtuoso_quad_log_ray.pipelines.kg import page_cols
 
-    return pages.map_batches(
-        lambda b: page_texts(b, cfg, from_html=from_html),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=cfg.pages_batch_size,
-    ).materialize()
+    return pages.select_columns(page_cols(from_html)).materialize()
 
 
-def _page_texts(pages_path: str, cfg: EngineConfig) -> ray.data.Dataset | pa.Table:
-    """The (url, text, lang) rows of a pages Parquet input: ``kg.page_texts``
-    on one pyarrow read below the crossover, else over the blocks of a Ray
-    Data read. Either feeds the same bucket pass."""
-    from virtuoso_quad_log_ray.pipelines.kg import page_texts
-    from virtuoso_quad_log_ray.sources.pages import PAGES_PARQUET_COLUMNS, read_pages_parquet
+def _page_rows(pages_path: str) -> ray.data.Dataset | pa.Table:
+    """The (url, html, lang) rows of a pages Parquet input: one pyarrow
+    read below the crossover, else a Ray Data read. Either feeds the same
+    bucket pass, which extracts the text of the buckets it needs."""
+    from virtuoso_quad_log_ray.pipelines.kg import HTML_COLS
+    from virtuoso_quad_log_ray.sources.pages import read_pages_parquet
 
     if runs_in_process(pages_path):
         import pyarrow.parquet as pq
 
-        return page_texts(pq.read_table(pages_path, columns=PAGES_PARQUET_COLUMNS), cfg)
-    return _texts(read_pages_parquet(pages_path), cfg, from_html=True)
+        return pq.read_table(pages_path, columns=HTML_COLS)
+    return _rows(read_pages_parquet(pages_path), from_html=True)
 
 
-def _version_texts(sf_dir: str, version: int, cfg: EngineConfig) -> ray.data.Dataset:
+def _version_rows(sf_dir: str, version: int) -> ray.data.Dataset:
     """The (url, text, lang) rows of the sandbox's crawl ``version``
     (``changelog._pages_version``, already text)."""
     from virtuoso_quad_log_ray.pipelines.changelog import _pages_version
 
-    return _texts(_pages_version(sf_dir, version), cfg, from_html=False)
+    return _rows(_pages_version(sf_dir, version), from_html=False)
 
 
 def run_dump_pages(
@@ -633,16 +679,17 @@ def run_dump_pages(
     snapshot_root: str | None = None,
 ) -> RunManifest:
     """Initial dump over a REAL pages Parquet table (input_hint schema);
-    its shards carry the source digests the first sync compares."""
+    its snapshot carries the raw and text digests the first sync
+    compares."""
     return _run(
-        _page_texts(pages_path, cfg),
+        _page_rows(pages_path),
         out_root,
         checkpoint=TS14_ZERO,
         cfg=cfg,
         snapshot_root=snapshot_root,
         last_source=pages_path,
         epoch=epoch,
-        texts=True,
+        pages="html",
     )
 
 
@@ -655,17 +702,18 @@ def run_sync_pages(
     cfg: EngineConfig = DEFAULT_CONFIG,
 ) -> RunManifest:
     """Incremental sync of the CURRENT pages table against the stored
-    snapshot: only the buckets whose source digest changed are extracted,
-    diffed and rewritten (the rest are hard-linked forward), then the +/-
-    changelog is published and the cursor advanced."""
+    snapshot: only the buckets whose raw digest changed are text-extracted,
+    and only those whose text digest changed are diffed and rewritten (the
+    rest are hard-linked forward), then the +/- changelog is published and
+    the cursor advanced."""
     return _run(
-        _page_texts(pages_path, cfg),
+        _page_rows(pages_path),
         out_root,
         checkpoint=checkpoint,
         cfg=cfg,
         snapshot_root=snapshot_root,
         last_source=pages_path,
-        texts=True,
+        pages="html",
     )
 
 

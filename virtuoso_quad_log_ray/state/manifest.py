@@ -19,17 +19,20 @@ crashed run leaves ``*.tmp`` and orphan data files that the next run ignores
 from __future__ import annotations
 
 import json
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 
 @dataclass
 class FileEntry:
     """One committed rdfpatch file (ResourceList record analog,
     synchronizer.py:152-177: uri, md5, length, lastmod), or one snapshot
-    shard. A shard's ``md5`` is no file checksum but its source digest:
-    what a pages run extracted the shard from (``kg.bucket_digests``), or
-    "" where no digest was taken; its ``length`` is 0."""
+    shard. A shard's ``md5`` is no file checksum but its text digest: of
+    the (url, text, lang) rows a pages run extracted the shard from
+    (``kg.bucket_digests``), or "" where no digest was taken; its
+    ``length`` is 0."""
 
     name: str  # path relative to the sink root, e.g. "<b64(g)>/rdf_out_...-00000000000000"
     graph: str
@@ -65,20 +68,46 @@ class RunManifest:
     # different-sized host re-keys rows to different buckets while shard
     # names collide (ADVICE r4). 0 = pre-field manifest, never resumable.
     n_buckets: int = 0
+    # a pages run's snapshot: {shard name: raw digest} of the page rows the
+    # text extractor read for the shard (kg.bucket_digests). Empty on patch
+    # manifests and on snapshots written without it.
+    raw_digests: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        # Shallow field dicts instead of asdict's recursive deep copy: the
-        # manifest lists every file since the dump and every run commits
-        # it. Same bytes as json.dumps(asdict(self), indent=1, sort_keys=True).
+        # Same bytes as json.dumps(asdict(self), indent=1, sort_keys=True),
+        # without its pure-Python indent encoder over the file list, which
+        # every run commits whole: json.dumps renders the header, a
+        # template each FileEntry.
         d = dict(vars(self))
-        d["files"] = [vars(f) for f in self.files]
-        return json.dumps(d, indent=1, sort_keys=True)
+        d["files"] = []
+        head = json.dumps(d, indent=1, sort_keys=True)
+        if not self.files:
+            return head
+        # raw newlines come only from the indentation, so this is the key
+        at = head.index('\n "files": []') + len('\n "files": [')
+        values = [v for e in self.files for v in _entry_values(e)]
+        body = ",".join([_ENTRY_JSON] * len(self.files)) % tuple(map(_json_scalar, values))
+        return f"{head[:at]}{body}\n {head[at:]}"
 
     @staticmethod
     def from_json(s: str) -> "RunManifest":
         d = json.loads(s)
         d["files"] = [FileEntry(**f) for f in d["files"]]
         return RunManifest(**d)
+
+
+_ENTRY_KEYS = sorted(f.name for f in fields(FileEntry))
+_entry_values = operator.attrgetter(*_ENTRY_KEYS)
+# one FileEntry as json.dumps(indent=1) renders it inside the files list
+_ENTRY_JSON = "\n  {\n" + ",\n".join(f'   "{k}": %s' for k in _ENTRY_KEYS) + "\n  }"
+_SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_scalar(v) -> str:
+    """``v`` as json.dumps renders it: strings ASCII-escaped, ints as
+    ``int.__repr__``, any other value through json.dumps itself."""
+    enc = _SCALAR_JSON.get(type(v))
+    return enc(v) if enc else json.dumps(v)
 
 
 POINTER = "MANIFEST"
